@@ -7,13 +7,28 @@
 // Pool allocator effectiveness shows up as the pool_hits / pool_misses
 // counters: after the first iteration every scratch buffer of the multi-pass
 // primitives should be served from the device pool.
+//
+// GroupByFewKeys, GroupByManyKeys and SelectDense time the handwritten
+// kernels whose device atomics run chunk-privatized on the host: four groups
+// (every chunk combines into the same slots), n/2 groups (every chunk
+// overflows its private table) and a 98%-selective atomic-ticket selection.
 #include "bench_common.h"
 
 #include "gpusim/algorithms.h"
+#include "handwritten/handwritten.h"
 
 namespace bench {
 
-enum class HotPath { kReduce, kScan, kSort, kCompact, kAllocFree };
+enum class HotPath {
+  kReduce,
+  kScan,
+  kSort,
+  kCompact,
+  kAllocFree,
+  kGroupByFewKeys,
+  kGroupByManyKeys,
+  kSelectDense
+};
 
 const char* HotPathName(HotPath p) {
   switch (p) {
@@ -22,6 +37,9 @@ const char* HotPathName(HotPath p) {
     case HotPath::kSort: return "Sort";
     case HotPath::kCompact: return "Compact";
     case HotPath::kAllocFree: return "AllocFree";
+    case HotPath::kGroupByFewKeys: return "GroupByFewKeys";
+    case HotPath::kGroupByManyKeys: return "GroupByManyKeys";
+    case HotPath::kSelectDense: return "SelectDense";
   }
   return "?";
 }
@@ -35,6 +53,17 @@ void WallClockBench(benchmark::State& state, HotPath path) {
   gpusim::DeviceArray<int32_t> in = gpusim::ToDevice(stream, ints, device);
   gpusim::DeviceArray<int32_t> out(n, device);
   gpusim::DeviceArray<int32_t> keys(n, device);
+  const bool group_by = path == HotPath::kGroupByFewKeys ||
+                        path == HotPath::kGroupByManyKeys;
+  gpusim::DeviceArray<int32_t> group_keys = gpusim::ToDevice(
+      stream,
+      group_by ? UniformInts(n, path == HotPath::kGroupByFewKeys
+                                    ? 4
+                                    : static_cast<int32_t>(n / 2))
+               : std::vector<int32_t>(),
+      device);
+  gpusim::DeviceArray<uint32_t> rows(n, device);
+  const int32_t dense_threshold = (1 << 20) / 50 * 49;  // ~98% of the domain
 
   const auto start = device.Snapshot();
   for (auto _ : state) {
@@ -66,6 +95,19 @@ void WallClockBench(benchmark::State& state, HotPath path) {
         benchmark::DoNotOptimize(b.data());
         break;
       }
+      case HotPath::kGroupByFewKeys:
+      case HotPath::kGroupByManyKeys:
+        benchmark::DoNotOptimize(
+            handwritten::HashGroupByReduce(
+                stream, group_keys.data(), in.data(), n, int32_t{0},
+                [](int32_t a, int32_t b) { return a < b ? b : a; })
+                .num_groups);
+        break;
+      case HotPath::kSelectDense:
+        benchmark::DoNotOptimize(handwritten::SelectIndices(
+            stream, in.data(), n, rows.data(),
+            [=](int32_t v) { return v < dense_threshold; }));
+        break;
     }
   }
   const auto delta = device.Snapshot().Delta(start);
@@ -83,7 +125,8 @@ void WallClockBench(benchmark::State& state, HotPath path) {
 void RegisterBenchmarks() {
   for (const HotPath path :
        {HotPath::kReduce, HotPath::kScan, HotPath::kSort, HotPath::kCompact,
-        HotPath::kAllocFree}) {
+        HotPath::kAllocFree, HotPath::kGroupByFewKeys,
+        HotPath::kGroupByManyKeys, HotPath::kSelectDense}) {
     auto* b = benchmark::RegisterBenchmark(
         (std::string("WallClock/") + HotPathName(path)).c_str(),
         [path](benchmark::State& s) { WallClockBench(s, path); });

@@ -7,11 +7,13 @@
 #include <array>
 #include <functional>
 #include <limits>
+#include <type_traits>
 
 #include "backends/backends.h"
 #include "backends/common.h"
 #include "core/backend.h"
 #include "gpusim/algorithms.h"
+#include "gpusim/exact_sum.h"
 #include "handwritten/handwritten.h"
 #include "storage/encoded_column.h"
 #include "storage/encoding.h"
@@ -139,24 +141,14 @@ class HandwrittenBackend : public core::Backend {
     BACKENDS_DISPATCH(a.type(), {
       const T* pa = a.data<T>();
       const T* pb = b.data<T>();
-      gpusim::DeviceArray<uint32_t> counter(1, device());
-      gpusim::MemsetDevice(stream_, counter.data(), 0, sizeof(uint32_t));
       gpusim::KernelStats stats;
       stats.name = "hw::select_cmp_cols";
       stats.bytes_read = n * 2 * sizeof(T);
       stats.bytes_written = n * sizeof(uint32_t);
-      uint32_t* c = counter.data();
-      uint32_t* rows =
-          reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>());
-      gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-        if (ApplyCompare(op, pa[i], pb[i])) {
-          rows[gpusim::AtomicAdd(c, uint32_t{1})] = static_cast<uint32_t>(i);
-        }
-      });
-      uint32_t got = 0;
-      gpusim::CopyDeviceToHost(stream_, &got, counter.data(),
-                               sizeof(uint32_t));
-      count = got;
+      count = handwritten::TicketedSelect(
+          stream_, n, stats,
+          reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>()),
+          [=](size_t i) { return ApplyCompare(op, pa[i], pb[i]); });
     });
     out.count = count;
     out.row_ids = Shrink(out.row_ids, count);
@@ -185,26 +177,22 @@ class HandwrittenBackend : public core::Backend {
 
     SelectionResult out;
     out.row_ids = DeviceColumn(DataType::kInt32, n, device());
-    gpusim::DeviceArray<uint32_t> counter(1, device());
-    gpusim::MemsetDevice(stream_, counter.data(), 0, sizeof(uint32_t));
     gpusim::KernelStats stats;
     stats.name = "hw::select_encoded_fused";
     stats.bytes_read = bytes_per_row_scan;
     stats.bytes_written = n * sizeof(uint32_t);
     stats.ops = n * preds.size();
-    uint32_t* c = counter.data();
-    uint32_t* rows = reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>());
     const auto* ms = matchers.data();
     const size_t num_preds = matchers.size();
-    gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-      for (size_t p = 0; p < num_preds; ++p) {
-        if (!ms[p](i)) return;
-      }
-      rows[gpusim::AtomicAdd(c, uint32_t{1})] = static_cast<uint32_t>(i);
-    });
-    uint32_t count = 0;
-    gpusim::CopyDeviceToHost(stream_, &count, counter.data(),
-                             sizeof(uint32_t));
+    const size_t count = handwritten::TicketedSelect(
+        stream_, n, stats,
+        reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>()),
+        [=](size_t i) {
+          for (size_t p = 0; p < num_preds; ++p) {
+            if (!ms[p](i)) return false;
+          }
+          return true;
+        });
     out.count = count;
     out.row_ids = Shrink(out.row_ids, count);
     return out;
@@ -299,8 +287,9 @@ class HandwrittenBackend : public core::Backend {
   /// bit-packed l_rfls): ONE combining pass into a domain-sized dense table —
   /// no hash probes, no flag/scan/compact pipeline, and no count readback,
   /// since every code is a group (absent codes come back with identity
-  /// aggregates, as the interface allows). Wide or RLE key domains fall back
-  /// to the decode-then-hash default.
+  /// aggregates, as the interface allows). Each chunk pre-aggregates its
+  /// codes privately, so the dense table sees one atomic per code per chunk.
+  /// Wide or RLE key domains fall back to the decode-then-hash default.
   GroupByResult GroupByAggregateEncoded(
       const storage::EncodedDeviceColumn& keys,
       const SelectionResult& rows, const DeviceColumn& values,
@@ -323,6 +312,9 @@ class HandwrittenBackend : public core::Backend {
     const uint64_t* words = keys.words_data();
     const unsigned bits = keys.bit_width;
     const uint64_t key_bytes = (bits + 7) / 8;
+    const auto code_of = [=](size_t i) {
+      return storage::UnpackBit(words, bits, static_cast<size_t>(row_ids[i]));
+    };
 
     GroupByResult out;
     out.num_groups = domain;
@@ -354,13 +346,15 @@ class HandwrittenBackend : public core::Backend {
       stats.bytes_written = n * sizeof(int64_t);
       stats.ops = 2 * n;
       int64_t* sp = sums.data();
-      gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-        const size_t row = static_cast<size_t>(row_ids[i]);
-        const uint64_t code = storage::UnpackBit(words, bits, row);
-        gpusim::detail::AtomicCombine(
-            &sp[code], int64_t{1},
-            [](int64_t a, int64_t b) { return a + b; });
-      });
+      const auto add = [](int64_t a, int64_t b) { return a + b; };
+      gpusim::ParallelForChunks(
+          stream_, n, stats, [=](size_t begin, size_t end) {
+            handwritten::PrivatizedGroupReduce<uint64_t, int64_t>(
+                begin, end, code_of, [](size_t) { return int64_t{1}; }, add,
+                [=](uint64_t code, int64_t c) {
+                  gpusim::detail::AtomicCombine(&sp[code], c, add);
+                });
+          });
       DeviceColumn agg(DataType::kInt64, domain, device());
       gpusim::CopyDeviceToDevice(stream_, agg.raw_data(), sums.data(),
                                  domain * sizeof(int64_t));
@@ -384,22 +378,25 @@ class HandwrittenBackend : public core::Backend {
       stats.bytes_written = n * sizeof(double);
       stats.ops = 3 * n;
       double* sp = sums.data();
-      gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-        const size_t row = static_cast<size_t>(row_ids[i]);
-        const uint64_t code = storage::UnpackBit(words, bits, row);
-        const double v = static_cast<double>(pv[i]);
-        gpusim::detail::AtomicCombine(&sp[code], v,
-                                      [aop](double a, double b) {
-                                        switch (aop) {
-                                          case AggOp::kMin:
-                                            return b < a ? b : a;
-                                          case AggOp::kMax:
-                                            return a < b ? b : a;
-                                          default:
-                                            return a + b;
-                                        }
-                                      });
-      });
+      const auto combine = [aop](double a, double b) {
+        switch (aop) {
+          case AggOp::kMin:
+            return b < a ? b : a;
+          case AggOp::kMax:
+            return a < b ? b : a;
+          default:
+            return a + b;
+        }
+      };
+      gpusim::ParallelForChunks(
+          stream_, n, stats, [=](size_t begin, size_t end) {
+            handwritten::PrivatizedGroupReduce<uint64_t, double>(
+                begin, end, code_of,
+                [=](size_t i) { return static_cast<double>(pv[i]); },
+                combine, [=](uint64_t code, double v) {
+                  gpusim::detail::AtomicCombine(&sp[code], v, combine);
+                });
+          });
     });
     DeviceColumn agg(DataType::kFloat64, domain, device());
     gpusim::CopyDeviceToDevice(stream_, agg.raw_data(), sums.data(),
@@ -416,9 +413,16 @@ class HandwrittenBackend : public core::Backend {
       const size_t n = values.size();
       switch (op) {
         case AggOp::kSum:
-          result = static_cast<double>(gpusim::Reduce(
-              stream_, data, n, T{},
-              [](T a, T b) { return static_cast<T>(a + b); }, "hw::sum"));
+          // The ticketed selects leave rows in host-timing order; an exact
+          // sum keeps a floating-point answer the same on every run.
+          if constexpr (std::is_floating_point_v<T>) {
+            result = static_cast<double>(
+                gpusim::ExactSum(stream_, data, n, "hw::sum"));
+          } else {
+            result = static_cast<double>(gpusim::Reduce(
+                stream_, data, n, T{},
+                [](T a, T b) { return static_cast<T>(a + b); }, "hw::sum"));
+          }
           break;
         case AggOp::kMin:
           result = static_cast<double>(gpusim::Reduce(
@@ -602,36 +606,22 @@ class HandwrittenBackend : public core::Backend {
 
     SelectionResult out;
     out.row_ids = DeviceColumn(DataType::kInt32, n, device());
-    gpusim::DeviceArray<uint32_t> counter(1, device());
-    gpusim::MemsetDevice(stream_, counter.data(), 0, sizeof(uint32_t));
     gpusim::KernelStats stats;
     stats.name = "hw::select_multi_fused";
     stats.bytes_read = n * bytes_per_row;
     stats.bytes_written = n * sizeof(uint32_t);
     stats.ops = n * num_preds;
-    uint32_t* c = counter.data();
-    uint32_t* rows = reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>());
-    gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-      bool keep = conjunctive;
-      for (size_t p = 0; p < num_preds; ++p) {
-        const bool hit = evals[p](i);
-        if (conjunctive && !hit) {
-          keep = false;
-          break;
-        }
-        if (!conjunctive && hit) {
-          keep = true;
-          break;
-        }
-      }
-      if (keep) {
-        const uint32_t slot = gpusim::AtomicAdd(c, uint32_t{1});
-        rows[slot] = static_cast<uint32_t>(i);
-      }
-    });
-    uint32_t count = 0;
-    gpusim::CopyDeviceToHost(stream_, &count, counter.data(),
-                             sizeof(uint32_t));
+    const size_t count = handwritten::TicketedSelect(
+        stream_, n, stats,
+        reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>()),
+        [=](size_t i) {
+          // Conjunctions stop at the first miss, disjunctions at the
+          // first hit; either way the stopping predicate decides.
+          for (size_t p = 0; p < num_preds; ++p) {
+            if (evals[p](i) != conjunctive) return !conjunctive;
+          }
+          return conjunctive;
+        });
     out.count = count;
     out.row_ids = Shrink(out.row_ids, count);
     return out;

@@ -610,9 +610,17 @@ size_t ReduceByKey(Stream& stream, const K* keys, const V* vals, size_t n,
     stats.ops = 2 * n;
     const uint32_t* f = flags.data();
     const uint32_t* s = segids.data();
-    ParallelFor(stream, n, stats, [=](size_t i) {
-      if (!f[i]) {
-        detail::AtomicCombine(&out_vals[s[i] - 1], vals[i], op);
+    // Each chunk folds the non-head elements of a run locally and combines
+    // once per run fragment; only fragments at chunk edges share a segment.
+    ParallelForChunks(stream, n, stats, [=](size_t begin, size_t end) {
+      size_t i = begin;
+      while (i < end) {
+        const uint32_t seg = s[i];
+        if (f[i]) ++i;  // the head's value was seeded above
+        if (i == end || s[i] != seg) continue;
+        V acc = vals[i];
+        for (++i; i < end && s[i] == seg; ++i) acc = op(acc, vals[i]);
+        detail::AtomicCombine(&out_vals[seg - 1], acc, op);
       }
     });
   }

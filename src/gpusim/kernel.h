@@ -1,15 +1,27 @@
 // Kernel launch API of the simulated device.
 //
-// Two launch shapes cover the algorithms in this repository:
-//  * ParallelFor   — a grid of independent threads, f(i) per global index.
-//  * LaunchBlocks  — a grid of cooperative thread *blocks*; the body runs
-//                    once per block and may loop over the block's threads,
-//                    modelling shared-memory algorithms (tile reduce, block
-//                    scan, histogram) whose intra-block execution is
-//                    sequentialized, which preserves semantics.
+// Three launch shapes cover the algorithms in this repository:
+//  * ParallelFor       — a grid of independent threads, f(i) per global
+//                        index.
+//  * ParallelForChunks — the same grid, charged identically, but the body
+//                        runs once per host chunk as f(begin, end). A kernel
+//                        keeps chunk-private state in host memory (the
+//                        analogue of a block's shared memory) and touches
+//                        shared atomics once per chunk instead of once per
+//                        simulated thread: privatized group-by, segmented
+//                        combines, ticketed compactions.
+//  * LaunchBlocks      — a grid of cooperative thread *blocks*; the body runs
+//                        once per block and may loop over the block's
+//                        threads, modelling shared-memory algorithms (tile
+//                        reduce, block scan, histogram) whose intra-block
+//                        execution is sequentialized, which preserves
+//                        semantics.
 //
-// Both charge the owning stream with the declared KernelStats. Grids are
-// distributed over the device's host thread pool.
+// Every shape charges the owning stream with the declared KernelStats before
+// any host code runs, and nothing else: the stats are the only input to the
+// cost model. How the host executes a grid (inline, chunked, privatized) can
+// change wall-clock time but never simulated time. Grids are distributed over
+// the device's host thread pool.
 #ifndef GPUSIM_KERNEL_H_
 #define GPUSIM_KERNEL_H_
 
@@ -21,17 +33,22 @@
 
 namespace gpusim {
 
-/// Launches `n` independent simulated threads; body(i) for i in [0, n).
-/// The body must be safe to run concurrently for distinct i.
+/// Launches the grid ParallelFor(stream, n, stats, ...) launches, with the
+/// same charge, but calls body(begin, end) once per host chunk; the chunks
+/// partition [0, n) exactly once. Chunks run concurrently, so the body may
+/// keep private state for its own range but must combine into shared state
+/// with atomics. Chunk boundaries are a host execution detail: results must
+/// not depend on them beyond the order of atomic tickets.
 template <typename Body>
-void ParallelFor(Stream& stream, size_t n, KernelStats stats, Body&& body) {
+void ParallelForChunks(Stream& stream, size_t n, KernelStats stats,
+                       Body&& body) {
   stats.ops = std::max<uint64_t>(stats.ops, n);  // at least one op per thread
   stream.ChargeKernel(stats);
   if (n == 0) return;
   if (n <= kInlineGridThreshold) {
     // Small-grid fast path: the pool dispatch would cost more host time than
     // the loop itself. Simulated time is unaffected (charged above).
-    for (size_t i = 0; i < n; ++i) body(i);
+    body(size_t{0}, n);
     return;
   }
   // Use coarse host-side chunks: each chunk covers many simulated blocks to
@@ -42,7 +59,15 @@ void ParallelFor(Stream& stream, size_t n, KernelStats stats, Body&& body) {
   const size_t num_chunks = NumHostChunks(n, chunk);
   stream.device().pool().ParallelFor(num_chunks, [&](size_t c) {
     const size_t begin = c * chunk;
-    const size_t end = std::min(begin + chunk, n);
+    body(begin, std::min(begin + chunk, n));
+  });
+}
+
+/// Launches `n` independent simulated threads; body(i) for i in [0, n).
+/// The body must be safe to run concurrently for distinct i.
+template <typename Body>
+void ParallelFor(Stream& stream, size_t n, KernelStats stats, Body&& body) {
+  ParallelForChunks(stream, n, stats, [&body](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) body(i);
   });
 }

@@ -1,6 +1,6 @@
 // Host-side launch geometry shared by the kernel API and the thread pool.
 //
-// ParallelFor (kernel.h) decides how a simulated grid is cut into host
+// ParallelForChunks (kernel.h) decides how a simulated grid is cut into host
 // chunks, and ThreadPool (thread_pool.h) decides when a chunked job is too
 // small to be worth a worker rendezvous. Both cutovers are functions of the
 // same quantities, so they live here: keeping them in one place guarantees
@@ -19,7 +19,7 @@
 
 namespace gpusim {
 
-/// Number of simulated threads per block used by ParallelFor chunking.
+/// Number of simulated threads per block used by ParallelForChunks.
 inline constexpr size_t kDefaultBlockSize = 256;
 
 /// Smallest host-side chunk, in simulated threads: one chunk covers many

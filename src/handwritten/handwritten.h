@@ -6,12 +6,21 @@
 // ticketing) instead of the library's transform + scan + gather pipeline;
 // filter+aggregate queries run as a single pass; joins and grouping use
 // open-addressing hash tables built and probed with device atomics.
+//
+// Like expert GPU kernels, the ticketing and grouping kernels privatize per
+// block: each host chunk stages survivors or partial aggregates in host
+// memory (the analogue of shared memory) and touches the global atomics once
+// per chunk or once per distinct key (see TicketedCompact and
+// PrivatizedGroupReduce). Simulated cost is the declared KernelStats either
+// way; privatization only removes host contention.
 #ifndef HANDWRITTEN_HANDWRITTEN_H_
 #define HANDWRITTEN_HANDWRITTEN_H_
 
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "gpusim/algorithms.h"
 #include "gpusim/atomic_ops.h"
@@ -43,7 +52,138 @@ inline uint64_t MixHash(uint64_t k) {
   k ^= k >> 33;
   return k;
 }
+
+/// Per-host-thread staging buffer of TicketedCompact, one per item type and
+/// reused across launches. A chunk body fills and drains it without
+/// dispatching other work, so one buffer per thread suffices.
+template <typename Item>
+std::vector<Item>& StagingBuffer() {
+  thread_local std::vector<Item> buffer;
+  return buffer;
+}
+
+/// Chunk-private aggregation table of PrivatizedGroupReduce: open addressing
+/// over kSlots host-resident slots, holding at most kMaxKeys keys so that a
+/// miss ends at an empty slot after a few probes.
+template <typename K, typename V>
+class PrivateAggTable {
+ public:
+  static constexpr size_t kSlots = 256;
+  static constexpr size_t kMaxKeys = kSlots / 2;
+
+  /// Combines v into key's slot, seeding the slot on the key's first row.
+  /// Returns false, changing nothing, if key is absent and the table full.
+  template <typename BinOp>
+  bool Combine(K key, uint64_t hash, V v, BinOp op) {
+    size_t slot = hash & (kSlots - 1);
+    while (used_[slot]) {
+      if (keys_[slot] == key) {
+        vals_[slot] = op(vals_[slot], v);
+        return true;
+      }
+      slot = (slot + 1) & (kSlots - 1);
+    }
+    if (size_ == kMaxKeys) return false;
+    used_[slot] = true;
+    keys_[slot] = key;
+    vals_[slot] = v;
+    ++size_;
+    return true;
+  }
+
+  /// Calls f(key, value) once per key held.
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (size_t slot = 0; slot < kSlots; ++slot) {
+      if (used_[slot]) f(keys_[slot], vals_[slot]);
+    }
+  }
+
+ private:
+  bool used_[kSlots] = {};
+  K keys_[kSlots] = {};
+  V vals_[kSlots] = {};
+  size_t size_ = 0;
+};
 }  // namespace detail
+
+// ---------------------------------------------------------------------------
+// Block-privatized building blocks
+// ---------------------------------------------------------------------------
+
+/// Atomic-ticket compaction over the grid [0, n), launched as `stats`. Each
+/// host chunk stages the items match(i, &item) accepts in host memory, then
+/// reserves its output range with ONE AtomicAdd on the device counter and
+/// hands every staged item to store(ticket, item) — how a block compacts
+/// through shared memory before one global atomic. Output order is
+/// nondeterministic at chunk granularity (ascending within a chunk).
+/// Charges the counter memset, the kernel and the 4-byte count readback;
+/// returns the count.
+template <typename Item, typename Match, typename Store>
+size_t TicketedCompact(gpusim::Stream& stream, size_t n,
+                       const gpusim::KernelStats& stats, Match match,
+                       Store store) {
+  gpusim::DeviceArray<uint32_t> counter(1, stream.device());
+  gpusim::MemsetDevice(stream, counter.data(), 0, sizeof(uint32_t));
+  uint32_t* c = counter.data();
+  gpusim::ParallelForChunks(stream, n, stats, [=](size_t begin, size_t end) {
+    std::vector<Item>& staged = detail::StagingBuffer<Item>();
+    staged.clear();
+    Item item{};
+    for (size_t i = begin; i < end; ++i) {
+      if (match(i, &item)) staged.push_back(item);
+    }
+    if (staged.empty()) return;
+    const uint32_t base =
+        gpusim::AtomicAdd(c, static_cast<uint32_t>(staged.size()));
+    for (size_t k = 0; k < staged.size(); ++k) {
+      store(base + static_cast<uint32_t>(k), staged[k]);
+    }
+  });
+  uint32_t count = 0;
+  gpusim::CopyDeviceToHost(stream, &count, c, sizeof(uint32_t));
+  return count;
+}
+
+/// TicketedCompact of row ids: writes every i in [0, n) with keep(i) to
+/// out_rows and returns the count.
+template <typename Keep>
+size_t TicketedSelect(gpusim::Stream& stream, size_t n,
+                      const gpusim::KernelStats& stats, uint32_t* out_rows,
+                      Keep keep) {
+  return TicketedCompact<uint32_t>(
+      stream, n, stats,
+      [=](size_t i, uint32_t* row) {
+        *row = static_cast<uint32_t>(i);
+        return keep(i);
+      },
+      [=](uint32_t ticket, uint32_t row) { out_rows[ticket] = row; });
+}
+
+/// Chunk body of a block-privatized grouped reduction over rows
+/// [begin, end): row i carries key key_of(i) and value val_of(i). The chunk
+/// folds its rows into a private host table, then calls
+/// global(key, value) once per distinct key to combine into the device-wide
+/// result with atomics. When the chunk meets more distinct keys than the
+/// private table holds, it flushes the table and sends its remaining rows
+/// straight to global(), so a high-cardinality chunk costs at most
+/// kMaxKeys extra private inserts over the unprivatized kernel.
+template <typename K, typename V, typename KeyOf, typename ValOf,
+          typename BinOp, typename Global>
+void PrivatizedGroupReduce(size_t begin, size_t end, KeyOf key_of,
+                           ValOf val_of, BinOp op, Global global) {
+  detail::PrivateAggTable<K, V> table;
+  size_t i = begin;
+  for (; i < end; ++i) {
+    const K key = key_of(i);
+    if (!table.Combine(key, detail::MixHash(static_cast<uint64_t>(key)),
+                       val_of(i), op)) {
+      break;
+    }
+  }
+  table.ForEach(global);
+  for (; i < end; ++i) global(key_of(i), val_of(i));
+}
 
 // ---------------------------------------------------------------------------
 // Fused selection
@@ -56,22 +196,12 @@ inline uint64_t MixHash(uint64_t k) {
 template <typename T, typename Pred>
 size_t SelectIndices(gpusim::Stream& stream, const T* col, size_t n,
                      uint32_t* out_indices, Pred pred) {
-  gpusim::DeviceArray<uint32_t> counter(1, stream.device());
-  gpusim::MemsetDevice(stream, counter.data(), 0, sizeof(uint32_t));
   gpusim::KernelStats stats;
   stats.name = "hw::select_fused";
   stats.bytes_read = n * sizeof(T);
   stats.bytes_written = n * sizeof(uint32_t);  // upper bound
-  uint32_t* c = counter.data();
-  gpusim::ParallelFor(stream, n, stats, [=](size_t i) {
-    if (pred(col[i])) {
-      const uint32_t slot = gpusim::AtomicAdd(c, uint32_t{1});
-      out_indices[slot] = static_cast<uint32_t>(i);
-    }
-  });
-  uint32_t count = 0;
-  gpusim::CopyDeviceToHost(stream, &count, counter.data(), sizeof(uint32_t));
-  return count;
+  return TicketedSelect(stream, n, stats, out_indices,
+                        [=](size_t i) { return pred(col[i]); });
 }
 
 /// Single-pass fused filter + aggregate: sum of value(i) over rows where
@@ -153,8 +283,6 @@ class HashJoin {
   /// the number of result pairs.
   size_t Probe(const K* probe_keys, size_t n, uint32_t* out_build_rows,
                uint32_t* out_probe_rows) const {
-    gpusim::DeviceArray<uint32_t> counter(1, stream_.device());
-    gpusim::MemsetDevice(stream_, counter.data(), 0, sizeof(uint32_t));
     gpusim::KernelStats stats;
     stats.name = "hw::hash_probe";
     stats.bytes_read = n * (sizeof(K) + sizeof(K) + sizeof(uint32_t));
@@ -163,26 +291,26 @@ class HashJoin {
     const K* table_keys = keys_.data();
     const uint32_t* table_rows = rows_.data();
     const size_t mask = capacity_ - 1;
-    uint32_t* c = counter.data();
-    gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-      const K key = probe_keys[i];
-      size_t slot = detail::MixHash(static_cast<uint64_t>(key)) & mask;
-      while (true) {
-        const K stored = table_keys[slot];
-        if (stored == kEmpty) return;  // no match
-        if (stored == key) {
-          const uint32_t ticket = gpusim::AtomicAdd(c, uint32_t{1});
-          out_build_rows[ticket] = table_rows[slot];
-          out_probe_rows[ticket] = static_cast<uint32_t>(i);
-          return;
-        }
-        slot = (slot + 1) & mask;
-      }
-    });
-    uint32_t count = 0;
-    gpusim::CopyDeviceToHost(stream_, &count, counter.data(),
-                             sizeof(uint32_t));
-    return count;
+    using RowPair = std::pair<uint32_t, uint32_t>;  // (build row, probe row)
+    return TicketedCompact<RowPair>(
+        stream_, n, stats,
+        [=](size_t i, RowPair* match) {
+          const K key = probe_keys[i];
+          size_t slot = detail::MixHash(static_cast<uint64_t>(key)) & mask;
+          while (true) {
+            const K stored = table_keys[slot];
+            if (stored == kEmpty) return false;  // no match
+            if (stored == key) {
+              *match = {table_rows[slot], static_cast<uint32_t>(i)};
+              return true;
+            }
+            slot = (slot + 1) & mask;
+          }
+        },
+        [=](uint32_t ticket, const RowPair& match) {
+          out_build_rows[ticket] = match.first;
+          out_probe_rows[ticket] = match.second;
+        });
   }
 
   size_t capacity() const { return capacity_; }
@@ -200,120 +328,21 @@ class HashJoin {
 // Hash-based grouped aggregation
 // ---------------------------------------------------------------------------
 
-/// Result of HashGroupBySum: parallel arrays of group keys and aggregates.
+/// Result of HashGroupByReduce: parallel arrays of group keys and
+/// aggregates.
 template <typename K, typename V>
 struct GroupedSums {
   gpusim::DeviceArray<K> keys;
   gpusim::DeviceArray<V> sums;
-  gpusim::DeviceArray<uint64_t> counts;
   size_t num_groups = 0;
 };
 
-/// One-pass grouped sum+count using an open-addressing hash table with
-/// atomic accumulation, then a compaction of occupied slots. Contrast with
-/// the libraries' only option: sort_by_key + reduce_by_key (Table II).
-/// Keys must not equal numeric_limits<K>::max().
-template <typename K, typename V>
-GroupedSums<K, V> HashGroupBySum(gpusim::Stream& stream, const K* keys,
-                                 const V* values, size_t n,
-                                 size_t expected_groups = 0) {
-  constexpr K kEmpty = std::numeric_limits<K>::max();
-  gpusim::Device& device = stream.device();
-  const size_t hint = expected_groups > 0 ? expected_groups : n;
-  const size_t capacity = detail::NextPow2(hint < 8 ? 16 : 2 * hint);
-  gpusim::DeviceArray<K> table_keys(capacity, device);
-  gpusim::DeviceArray<V> table_sums(capacity, device);
-  gpusim::DeviceArray<uint64_t> table_counts(capacity, device);
-  gpusim::Fill(stream, table_keys.data(), capacity, kEmpty);
-  gpusim::Fill(stream, table_sums.data(), capacity, V{});
-  gpusim::Fill(stream, table_counts.data(), capacity, uint64_t{0});
-
-  {
-    gpusim::KernelStats stats;
-    stats.name = "hw::hash_group_by";
-    stats.bytes_read = n * (sizeof(K) + sizeof(V));
-    stats.bytes_written = n * (sizeof(V) + sizeof(uint64_t));
-    stats.ops = 4 * n;
-    K* tk = table_keys.data();
-    V* ts = table_sums.data();
-    uint64_t* tc = table_counts.data();
-    const size_t mask = capacity - 1;
-    gpusim::ParallelFor(stream, n, stats, [=](size_t i) {
-      const K key = keys[i];
-      size_t slot = detail::MixHash(static_cast<uint64_t>(key)) & mask;
-      while (true) {
-        const K stored = gpusim::AtomicLoad(&tk[slot]);
-        if (stored == key) break;
-        if (stored == kEmpty) {
-          if (gpusim::AtomicCas(&tk[slot], kEmpty, key) == kEmpty) break;
-          continue;  // lost the race; re-read this slot
-        }
-        slot = (slot + 1) & mask;
-      }
-      gpusim::detail::AtomicCombine(&ts[slot], values[i],
-                                    [](V a, V b) { return a + b; });
-      gpusim::AtomicAdd(&tc[slot], uint64_t{1});
-    });
-  }
-
-  // Compact occupied slots (flags over the slot space + scan + scatter).
-  GroupedSums<K, V> out;
-  out.keys = gpusim::DeviceArray<K>(capacity, device);
-  out.sums = gpusim::DeviceArray<V>(capacity, device);
-  out.counts = gpusim::DeviceArray<uint64_t>(capacity, device);
-  gpusim::DeviceArray<uint32_t> flags(capacity, device);
-  gpusim::DeviceArray<uint32_t> positions(capacity, device);
-  {
-    gpusim::KernelStats stats;
-    stats.name = "hw::group_slot_flags";
-    stats.bytes_read = capacity * sizeof(K);
-    stats.bytes_written = capacity * sizeof(uint32_t);
-    const K* tk = table_keys.data();
-    uint32_t* f = flags.data();
-    gpusim::ParallelFor(stream, capacity, stats,
-                        [=](size_t i) { f[i] = tk[i] != kEmpty ? 1u : 0u; });
-  }
-  gpusim::ExclusiveScan(stream, flags.data(), positions.data(), capacity,
-                        uint32_t{0},
-                        [](uint32_t a, uint32_t b) { return a + b; });
-  uint32_t last_pos = 0, last_flag = 0;
-  gpusim::CopyDeviceToHost(stream, &last_pos,
-                           positions.data() + (capacity - 1),
-                           sizeof(uint32_t));
-  gpusim::CopyDeviceToHost(stream, &last_flag, flags.data() + (capacity - 1),
-                           sizeof(uint32_t));
-  out.num_groups = last_pos + last_flag;
-  {
-    gpusim::KernelStats stats;
-    stats.name = "hw::group_compact";
-    stats.bytes_read =
-        capacity * (sizeof(K) + sizeof(V) + sizeof(uint64_t) +
-                    2 * sizeof(uint32_t));
-    stats.bytes_written =
-        out.num_groups * (sizeof(K) + sizeof(V) + sizeof(uint64_t));
-    const K* tk = table_keys.data();
-    const V* ts = table_sums.data();
-    const uint64_t* tc = table_counts.data();
-    const uint32_t* f = flags.data();
-    const uint32_t* pos = positions.data();
-    K* ok = out.keys.data();
-    V* os = out.sums.data();
-    uint64_t* oc = out.counts.data();
-    gpusim::ParallelFor(stream, capacity, stats, [=](size_t i) {
-      if (f[i]) {
-        const uint32_t p = pos[i];
-        ok[p] = tk[i];
-        os[p] = ts[i];
-        oc[p] = tc[i];
-      }
-    });
-  }
-  return out;
-}
-
-/// Generic one-pass hash grouped reduction (sum/min/max with the matching
-/// identity). Same structure as HashGroupBySum but with a caller-provided
-/// combine. Returns compacted (keys, values).
+/// One-pass hash grouped reduction (sum/min/max with the matching identity;
+/// a count is a sum over ones) using an open-addressing hash table with
+/// atomic combines, then a compaction of occupied slots. Contrast with the
+/// libraries' only option: sort_by_key + reduce_by_key (Table II). Each
+/// chunk pre-aggregates privately (PrivatizedGroupReduce). Keys must not
+/// equal numeric_limits<K>::max(). Returns compacted (keys, values).
 template <typename K, typename V, typename BinOp>
 GroupedSums<K, V> HashGroupByReduce(gpusim::Stream& stream, const K* keys,
                                     const V* values, size_t n, V identity,
@@ -336,8 +365,7 @@ GroupedSums<K, V> HashGroupByReduce(gpusim::Stream& stream, const K* keys,
     K* tk = table_keys.data();
     V* tv = table_vals.data();
     const size_t mask = capacity - 1;
-    gpusim::ParallelFor(stream, n, stats, [=](size_t i) {
-      const K key = keys[i];
+    const auto global = [=](K key, V v) {
       size_t slot = detail::MixHash(static_cast<uint64_t>(key)) & mask;
       while (true) {
         const K stored = gpusim::AtomicLoad(&tk[slot]);
@@ -348,8 +376,14 @@ GroupedSums<K, V> HashGroupByReduce(gpusim::Stream& stream, const K* keys,
         }
         slot = (slot + 1) & mask;
       }
-      gpusim::detail::AtomicCombine(&tv[slot], values[i], op);
-    });
+      gpusim::detail::AtomicCombine(&tv[slot], v, op);
+    };
+    gpusim::ParallelForChunks(
+        stream, n, stats, [=](size_t begin, size_t end) {
+          PrivatizedGroupReduce<K, V>(
+              begin, end, [=](size_t i) { return keys[i]; },
+              [=](size_t i) { return values[i]; }, op, global);
+        });
   }
 
   GroupedSums<K, V> out;

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <vector>
 
 #include "gpusim/device.h"
+#include "gpusim/exact_sum.h"
 
 namespace gpusim {
 namespace {
@@ -50,6 +54,60 @@ TEST_P(AlgorithmsSizeTest, ReduceMatchesStdAccumulate) {
       Reduce(stream_, dev64.data(), n, int64_t{0},
              [](int64_t a, int64_t b) { return a + b; });
   EXPECT_EQ(got, expected);
+}
+
+TEST_P(AlgorithmsSizeTest, ExactSumIsExactOrderIndependentAndChargesLikeReduce) {
+  const size_t n = GetParam();
+  // Multiples of 2^-10 sum exactly in a double, so the answer is known.
+  const auto ints = RandomInts(n, -1000000, 1000000);
+  std::vector<double> fixed(n);
+  for (size_t i = 0; i < n; ++i) fixed[i] = std::ldexp(ints[i], -10);
+  const int64_t int_total = std::accumulate(ints.begin(), ints.end(),
+                                            int64_t{0});
+  auto dev_fixed = ToDevice(stream_, fixed);
+  EXPECT_EQ(ExactSum(stream_, dev_fixed.data(), n, "sum"),
+            std::ldexp(static_cast<double>(int_total), -10));
+
+  // Magnitudes over 40 binades: any reordering of a plain sum moves its
+  // last bits; the exact sum must not move at all.
+  std::mt19937 rng(7 + static_cast<uint32_t>(n));
+  std::uniform_real_distribution<double> mant(-1.0, 1.0);
+  std::uniform_int_distribution<int> expo(-20, 20);
+  std::vector<double> wide(n);
+  for (double& v : wide) v = std::ldexp(mant(rng), expo(rng));
+  std::vector<double> shuffled = wide;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  auto dev_wide = ToDevice(stream_, wide);
+  auto dev_shuffled = ToDevice(stream_, shuffled);
+  const double a = ExactSum(stream_, dev_wide.data(), n, "sum");
+  const double b = ExactSum(stream_, dev_shuffled.data(), n, "sum");
+  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b));
+  long double approx = 0;
+  for (double v : wide) approx += v;
+  EXPECT_NEAR(a, static_cast<double>(approx),
+              1e-9 * (1.0 + std::fabs(static_cast<double>(approx))));
+
+  // Same launches, bytes and simulated time as the plain Reduce.
+  Device exact_device(DeviceProperties(), 4);
+  Stream exact(exact_device, ApiProfile::Cuda());
+  auto exact_in = ToDevice(exact, wide);
+  const auto exact_before = exact_device.Snapshot();
+  ExactSum(exact, exact_in.data(), n, "sum");
+  const auto exact_delta = exact_device.Snapshot().Delta(exact_before);
+  Device plain_device(DeviceProperties(), 4);
+  Stream plain(plain_device, ApiProfile::Cuda());
+  auto plain_in = ToDevice(plain, wide);
+  const auto plain_before = plain_device.Snapshot();
+  Reduce(plain, plain_in.data(), n, 0.0,
+         [](double x, double y) { return x + y; }, "sum");
+  const auto plain_delta = plain_device.Snapshot().Delta(plain_before);
+  EXPECT_EQ(exact.now_ns(), plain.now_ns());
+  EXPECT_EQ(exact_delta.kernels_launched, plain_delta.kernels_launched);
+  EXPECT_EQ(exact_delta.bytes_read, plain_delta.bytes_read);
+  EXPECT_EQ(exact_delta.bytes_written, plain_delta.bytes_written);
+  EXPECT_EQ(exact_delta.simulated_ns, plain_delta.simulated_ns);
+  EXPECT_EQ(exact_delta.transfers, plain_delta.transfers);
+  EXPECT_EQ(exact_delta.allocations, plain_delta.allocations);
 }
 
 TEST_P(AlgorithmsSizeTest, ExclusiveScanMatchesReference) {
@@ -209,6 +267,33 @@ TEST_F(AlgorithmsTest, ReduceEmptyReturnsInit) {
                              int32_t{17},
                              [](int32_t a, int32_t b) { return a + b; });
   EXPECT_EQ(got, 17);
+}
+
+TEST_F(AlgorithmsTest, ExactSumRoundsOnceAndHandlesSpecialValues) {
+  const auto sum = [&](const std::vector<double>& host) {
+    auto dev = ToDevice(stream_, host);
+    return ExactSum(stream_, dev.data(), host.size(), "sum");
+  };
+  // Ten copies of 0.1 sum to 1 + 2^-54 + ..., which rounds to 1.0; the
+  // left-to-right double sum gives 0.9999999999999999.
+  EXPECT_EQ(sum(std::vector<double>(10, 0.1)), 1.0);
+  EXPECT_EQ(sum({1e300, 1.0, -1e300}), 1.0);
+  EXPECT_EQ(sum({-2.5, 1.0}), -1.5);
+  EXPECT_EQ(sum({1.0, -1.0}), 0.0);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(sum({tiny, tiny, tiny}), 3 * tiny);
+  const double big = std::numeric_limits<double>::max();
+  EXPECT_EQ(sum({big, big, -big}), big);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(sum({1.0, inf}), inf);
+  EXPECT_EQ(sum({-inf, 1.0}), -inf);
+  EXPECT_TRUE(std::isnan(sum({inf, -inf})));
+  EXPECT_TRUE(std::isnan(sum({1.0, std::nan("")})));
+
+  std::vector<float> floats{0.5f, 0.25f, -1.0f};
+  auto dev_floats = ToDevice(stream_, floats);
+  EXPECT_EQ(ExactSum(stream_, dev_floats.data(), floats.size(), "sum"),
+            -0.25f);
 }
 
 TEST_F(AlgorithmsTest, ExclusiveScanWithNonzeroInit) {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
 #include <numeric>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "gpusim/kernel.h"
@@ -214,6 +217,53 @@ TEST(KernelTest, ParallelForVisitsAllIndices) {
   ParallelFor(stream, hits.size(), stats,
               [&](size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(KernelTest, ParallelForChunksPartitionsTheGridAndChargesLikeParallelFor) {
+  for (const size_t n : {size_t{0}, size_t{1}, kInlineGridThreshold,
+                         kInlineGridThreshold + 1, size_t{1} << 20}) {
+    SCOPED_TRACE(n);
+    KernelStats stats;
+    stats.name = "contract";
+    stats.bytes_read = 3 * n;
+    stats.bytes_written = n / 2;
+
+    Device chunked_device(DeviceProperties(), 4);
+    Stream chunked(chunked_device, ApiProfile::Cuda());
+    std::mutex mu;
+    std::vector<std::pair<size_t, size_t>> ranges;
+    const auto chunked_before = chunked_device.Snapshot();
+    ParallelForChunks(chunked, n, stats, [&](size_t begin, size_t end) {
+      std::lock_guard<std::mutex> lock(mu);
+      ranges.emplace_back(begin, end);
+    });
+    const auto chunked_delta =
+        chunked_device.Snapshot().Delta(chunked_before);
+
+    // The ranges tile [0, n) exactly once, with no empty chunk.
+    std::sort(ranges.begin(), ranges.end());
+    size_t covered = 0;
+    for (const auto& [begin, end] : ranges) {
+      EXPECT_EQ(begin, covered);
+      EXPECT_LT(begin, end);
+      covered = end;
+    }
+    EXPECT_EQ(covered, n);
+
+    Device plain_device(DeviceProperties(), 4);
+    Stream plain(plain_device, ApiProfile::Cuda());
+    const auto plain_before = plain_device.Snapshot();
+    ParallelFor(plain, n, stats, [](size_t) {});
+    const auto plain_delta = plain_device.Snapshot().Delta(plain_before);
+
+    EXPECT_EQ(chunked.now_ns(), plain.now_ns());
+    EXPECT_EQ(chunked_delta.kernels_launched, plain_delta.kernels_launched);
+    EXPECT_EQ(chunked_delta.bytes_read, plain_delta.bytes_read);
+    EXPECT_EQ(chunked_delta.bytes_written, plain_delta.bytes_written);
+    EXPECT_EQ(chunked_delta.simulated_ns, plain_delta.simulated_ns);
+    EXPECT_EQ(chunked_delta.transfers, plain_delta.transfers);
+    EXPECT_EQ(chunked_delta.allocations, plain_delta.allocations);
+  }
 }
 
 TEST(KernelTest, LaunchBlocksCoversBlockIds) {

@@ -152,16 +152,27 @@ TEST_F(HandwrittenTest, HashGroupBySumMatchesReference) {
   }
   auto dk = gpusim::ToDevice(stream_, keys);
   auto dv = gpusim::ToDevice(stream_, vals);
-  auto grouped =
-      handwritten::HashGroupBySum(stream_, dk.data(), dv.data(), n);
+  auto grouped = handwritten::HashGroupByReduce(
+      stream_, dk.data(), dv.data(), n, 0.0,
+      [](double a, double b) { return a + b; });
+  // A grouped count is a sum over ones.
+  auto ones = gpusim::ToDevice(stream_, std::vector<uint64_t>(n, 1));
+  auto counted = handwritten::HashGroupByReduce(
+      stream_, dk.data(), ones.data(), n, uint64_t{0},
+      [](uint64_t a, uint64_t b) { return a + b; });
   ASSERT_EQ(grouped.num_groups, ref_sum.size());
+  ASSERT_EQ(counted.num_groups, ref_count.size());
   auto gk = gpusim::ToHost(stream_, grouped.keys);
   auto gs = gpusim::ToHost(stream_, grouped.sums);
-  auto gc = gpusim::ToHost(stream_, grouped.counts);
   for (size_t i = 0; i < grouped.num_groups; ++i) {
     ASSERT_TRUE(ref_sum.count(gk[i])) << gk[i];
     EXPECT_DOUBLE_EQ(gs[i], ref_sum[gk[i]]);
-    EXPECT_EQ(gc[i], ref_count[gk[i]]);
+  }
+  auto ck = gpusim::ToHost(stream_, counted.keys);
+  auto cc = gpusim::ToHost(stream_, counted.sums);
+  for (size_t i = 0; i < counted.num_groups; ++i) {
+    ASSERT_TRUE(ref_count.count(ck[i])) << ck[i];
+    EXPECT_EQ(cc[i], ref_count[ck[i]]);
   }
 }
 
