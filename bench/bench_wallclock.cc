@@ -12,10 +12,18 @@
 // kernels whose device atomics run chunk-privatized on the host: four groups
 // (every chunk combines into the same slots), n/2 groups (every chunk
 // overflows its private table) and a 98%-selective atomic-ticket selection.
+//
+// LineitemAnalyze, LineitemUploadEncoded and AfWhereEq time the one-shot
+// library sweep's host hot paths at ~64k lineitem rows: the per-column
+// encoding analysis of a table, its encoded upload, and ArrayFire's
+// where(right == key), the inner step of its nested-loops join.
 #include "bench_common.h"
 
+#include "afsim/afsim.h"
 #include "gpusim/algorithms.h"
 #include "handwritten/handwritten.h"
+#include "storage/encoded_column.h"
+#include "tpch/datagen.h"
 
 namespace bench {
 
@@ -122,7 +130,56 @@ void WallClockBench(benchmark::State& state, HotPath path) {
           : 0.0;
 }
 
+/// ~64k rows of lineitem, generated once.
+const storage::Table& Lineitem64k() {
+  static const storage::Table table = [] {
+    tpch::Config config;
+    config.scale_factor = 0.0107;
+    return tpch::GenerateLineitem(config);
+  }();
+  return table;
+}
+
+void LineitemAnalyzeBench(benchmark::State& state) {
+  const storage::Table& lineitem = Lineitem64k();
+  gpusim::Device device;
+  gpusim::Device::DeviceGuard guard(device);  // analyze on this pool
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::ChooseTableEncodings(lineitem));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(lineitem.num_rows()));
+}
+
+void LineitemUploadEncodedBench(benchmark::State& state) {
+  const storage::Table& lineitem = Lineitem64k();
+  gpusim::Device device;
+  gpusim::Stream stream(device, gpusim::ApiProfile::Cuda());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::UploadTableEncoded(stream, lineitem));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(lineitem.num_rows()));
+}
+
+void AfWhereEqBench(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const afsim::array right = afsim::from_vector(UniformInts(n, 16384));
+  int32_t key = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        afsim::where(right == static_cast<double>(key++ % 16384)).elements());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+
 void RegisterBenchmarks() {
+  benchmark::RegisterBenchmark("WallClock/LineitemAnalyze",
+                               LineitemAnalyzeBench);
+  benchmark::RegisterBenchmark("WallClock/LineitemUploadEncoded",
+                               LineitemUploadEncodedBench);
+  benchmark::RegisterBenchmark("WallClock/AfWhereEq", AfWhereEqBench)
+      ->Arg(1 << 16);
   for (const HotPath path :
        {HotPath::kReduce, HotPath::kScan, HotPath::kSort, HotPath::kCompact,
         HotPath::kAllocFree, HotPath::kGroupByFewKeys,

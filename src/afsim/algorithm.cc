@@ -68,44 +68,27 @@ array where(const array& mask) {
   const node_ptr in = mask.node();
   const size_t n = mask.elements();
   if (n == 0) return array(make_data_node(dtype::u32, 0));
-  gpusim::Device& device = S().device();
 
-  gpusim::DeviceArray<uint32_t> flags(n, device);
-  gpusim::DeviceArray<uint32_t> positions(n, device);
-  {
-    gpusim::KernelStats stats;
-    stats.name = "af::where_flags";
-    stats.bytes_read = n * dtype_size(in->type);
-    stats.bytes_written = n * sizeof(uint32_t);
-    uint32_t* f = flags.data();
-    AFSIM_DISPATCH_ALL(in->type, "where", {
-      const T* data = static_cast<const T*>(in->buffer->data());
-      gpusim::ParallelFor(S(), n, stats,
-                          [=](size_t i) { f[i] = data[i] != T{} ? 1u : 0u; });
-    });
-  }
-  gpusim::ExclusiveScan(S(), flags.data(), positions.data(), n, uint32_t{0},
-                        [](uint32_t a, uint32_t b) { return a + b; });
-  uint32_t last_pos = 0, last_flag = 0;
-  gpusim::CopyDeviceToHost(S(), &last_pos, positions.data() + (n - 1),
-                           sizeof(uint32_t));
-  gpusim::CopyDeviceToHost(S(), &last_flag, flags.data() + (n - 1),
-                           sizeof(uint32_t));
-  const size_t count = last_pos + last_flag;
-
-  node_ptr out = make_data_node(dtype::u32, count);
-  {
-    gpusim::KernelStats stats;
-    stats.name = "af::where_scatter";
-    stats.bytes_read = n * 2 * sizeof(uint32_t);
-    stats.bytes_written = count * sizeof(uint32_t);
-    const uint32_t* f = flags.data();
-    const uint32_t* pos = positions.data();
-    uint32_t* o = static_cast<uint32_t*>(out->buffer->data());
-    gpusim::ParallelFor(S(), n, stats, [=](size_t i) {
-      if (f[i]) o[pos[i]] = static_cast<uint32_t>(i);
-    });
-  }
+  gpusim::KernelStats flag_stats;
+  flag_stats.name = "af::where_flags";
+  flag_stats.bytes_read = n * dtype_size(in->type);
+  flag_stats.bytes_written = n * sizeof(uint32_t);
+  gpusim::KernelStats scatter_stats;
+  scatter_stats.name = "af::where_scatter";
+  scatter_stats.bytes_read = n * 2 * sizeof(uint32_t);
+  node_ptr out;
+  uint32_t* o = nullptr;
+  AFSIM_DISPATCH_ALL(in->type, "where", {
+    const T* data = static_cast<const T*>(in->buffer->data());
+    gpusim::detail::ChunkedCompaction(
+        S(), n, flag_stats, scatter_stats, sizeof(uint32_t),
+        [=](size_t i) { return data[i] != T{}; },
+        [&](size_t count) {
+          out = make_data_node(dtype::u32, count);
+          o = static_cast<uint32_t*>(out->buffer->data());
+        },
+        [&](uint32_t pos, size_t i) { o[pos] = static_cast<uint32_t>(i); });
+  });
   return array(std::move(out));
 }
 

@@ -117,13 +117,9 @@ struct node {
 
 using node_ptr = std::shared_ptr<node>;
 
-/// Per-element evaluation cell: floating and integral lanes. The interpreter
-/// keeps values in the widest lane of their class, mirroring how the real
-/// JIT emits typed registers.
-struct cell {
-  double f = 0.0;
-  int64_t i = 0;
-};
+/// Elements per tile of a JIT kernel: eval() runs its compiled tree one tile
+/// at a time, each op a loop over one tile of one register lane.
+inline constexpr size_t kJitTile = 1024;
 
 }  // namespace detail
 }  // namespace afsim

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <limits>
 #include <type_traits>
+#include <vector>
 
 #include "gpusim/atomic_ops.h"
 #include "gpusim/kernel.h"
@@ -123,9 +124,12 @@ namespace detail {
 
 /// Per-tile scan writing tile totals; then recursive scan of totals; then a
 /// uniform-add pass. `kInclusive` selects inclusive vs exclusive semantics.
+/// With `execute` false it allocates and charges exactly the same and
+/// computes nothing: the charge of a scan whose result the caller derives on
+/// the host some cheaper way.
 template <bool kInclusive, typename T, typename BinOp>
 void ScanImpl(Stream& stream, const T* in, T* out, size_t n, T identity,
-              BinOp op) {
+              BinOp op, bool execute = true) {
   if (n == 0) return;
   Device& device = stream.device();
   const size_t num_tiles = NumTiles(n);
@@ -138,35 +142,43 @@ void ScanImpl(Stream& stream, const T* in, T* out, size_t n, T identity,
     stats.bytes_written = (n + num_tiles) * sizeof(T);
     stats.ops = n;
     T* sums = tile_sums.data();
-    LaunchBlocks(stream, num_tiles, kDefaultBlockSize, stats,
-                 [=](const BlockContext& ctx) {
-                   const size_t begin = ctx.block_id * kTileSize;
-                   const size_t end = std::min(begin + kTileSize, n);
-                   T acc = identity;
-                   for (size_t i = begin; i < end; ++i) {
-                     const T v = in[i];
-                     if constexpr (kInclusive) {
-                       acc = op(acc, v);
-                       out[i] = acc;
-                     } else {
-                       out[i] = acc;
-                       acc = op(acc, v);
+    if (execute) {
+      LaunchBlocks(stream, num_tiles, kDefaultBlockSize, stats,
+                   [=](const BlockContext& ctx) {
+                     const size_t begin = ctx.block_id * kTileSize;
+                     const size_t end = std::min(begin + kTileSize, n);
+                     T acc = identity;
+                     for (size_t i = begin; i < end; ++i) {
+                       const T v = in[i];
+                       if constexpr (kInclusive) {
+                         acc = op(acc, v);
+                         out[i] = acc;
+                       } else {
+                         out[i] = acc;
+                         acc = op(acc, v);
+                       }
                      }
-                   }
-                   sums[ctx.block_id] = acc;
-                 });
+                     sums[ctx.block_id] = acc;
+                   });
+    } else {
+      ChargeBlocks(stream, num_tiles, kDefaultBlockSize, stats);
+    }
   }
 
   if (num_tiles > 1) {
     DeviceArray<T> sums_scanned(num_tiles, device);
     ScanImpl<false>(stream, tile_sums.data(), sums_scanned.data(), num_tiles,
-                    identity, op);
+                    identity, op, execute);
     KernelStats stats;
     stats.name = "scan_uniform_add";
     stats.bytes_read = (n + num_tiles) * sizeof(T);
     stats.bytes_written = n * sizeof(T);
     stats.ops = n;
     const T* offsets = sums_scanned.data();
+    if (!execute) {
+      ChargeBlocks(stream, num_tiles, kDefaultBlockSize, stats);
+      return;
+    }
     LaunchBlocks(stream, num_tiles, kDefaultBlockSize, stats,
                  [=](const BlockContext& ctx) {
                    const size_t begin = ctx.block_id * kTileSize;
@@ -230,6 +242,77 @@ void Scatter(Stream& stream, const T* src, const I* map, size_t n, T* dst) {
 // ---------------------------------------------------------------------------
 // Stream compaction (flag + scan + scatter)
 // ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// The flag + exclusive scan + scatter compaction of rows [0, n), charged
+/// launch for launch, allocation for allocation, as that pipeline (flag
+/// kernel, ScanImpl, the two 4-byte copies of the last position and flag,
+/// scatter kernel) but executed on the host in one chunked pass: the flag
+/// launch counts each host chunk's kept rows, a prefix over the chunk counts
+/// stands in for the scan (charged, not run), and the scatter launch writes
+/// each chunk's rows from its offset. Only the last flag and position reach
+/// their device arrays, so the count still comes off the device.
+///
+/// keep(i) must be a cheap, pure function of i: the host calls it up to three
+/// times per row, where the pipeline evaluates it once into the flags array.
+/// (CopyIf and CopyIndexIf keep that pipeline: their predicates can cost a
+/// binary search.) prepare(count) runs between the copies and the scatter
+/// launch; emit(pos, i) writes kept row i to output position pos. The
+/// scatter's bytes_written is count * out_elem_bytes. Returns the count.
+template <typename Keep, typename Prepare, typename Emit>
+size_t ChunkedCompaction(Stream& stream, size_t n, const KernelStats& flag_stats,
+                         KernelStats scatter_stats, size_t out_elem_bytes,
+                         Keep keep, Prepare prepare, Emit emit) {
+  if (n == 0) return 0;
+  Device& device = stream.device();
+  DeviceArray<uint32_t> flags(n, device);
+  DeviceArray<uint32_t> positions(n, device);
+  const size_t chunk = HostChunkLength(stream, n);
+  // offsets[c] = kept rows before chunk c (after the prefix below).
+  std::vector<uint32_t> offsets(NumHostChunks(n, chunk) + 1, 0);
+  ParallelForChunks(stream, n, flag_stats, [&](size_t begin, size_t end) {
+    uint32_t kept = 0;
+    for (size_t i = begin; i < end; ++i) kept += keep(i) ? 1u : 0u;
+    offsets[begin / chunk + 1] = kept;
+  });
+  for (size_t c = 1; c < offsets.size(); ++c) offsets[c] += offsets[c - 1];
+  ScanImpl<false>(stream, flags.data(), positions.data(), n, uint32_t{0},
+                  [](uint32_t a, uint32_t b) { return a + b; },
+                  /*execute=*/false);
+  flags.data()[n - 1] = keep(n - 1) ? 1u : 0u;
+  positions.data()[n - 1] = offsets.back() - flags.data()[n - 1];
+
+  uint32_t last_pos = 0, last_flag = 0;
+  CopyDeviceToHost(stream, &last_pos, positions.data() + (n - 1),
+                   sizeof(uint32_t));
+  CopyDeviceToHost(stream, &last_flag, flags.data() + (n - 1),
+                   sizeof(uint32_t));
+  const size_t count = last_pos + last_flag;
+  prepare(count);
+
+  scatter_stats.bytes_written = count * out_elem_bytes;
+  ParallelForChunks(stream, n, scatter_stats, [&](size_t begin, size_t end) {
+    uint32_t pos = offsets[begin / chunk];
+    // Runs of 64 rows: a branch-free count first, so that empty and full
+    // runs skip the per-row branch.
+    for (size_t run = begin; run < end; run += 64) {
+      const size_t run_end = std::min(run + 64, end);
+      uint32_t kept = 0;
+      for (size_t i = run; i < run_end; ++i) kept += keep(i) ? 1u : 0u;
+      if (kept == run_end - run) {
+        for (size_t i = run; i < run_end; ++i) emit(pos++, i);
+      } else if (kept > 0) {
+        for (size_t i = run; i < run_end; ++i) {
+          if (keep(i)) emit(pos++, i);
+        }
+      }
+    }
+  });
+  return count;
+}
+
+}  // namespace detail
 
 /// Writes in[i] to out (densely) for every i with pred(in[i]). Returns the
 /// number of elements written. Three kernels plus a scan, matching the

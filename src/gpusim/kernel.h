@@ -33,6 +33,16 @@
 
 namespace gpusim {
 
+/// Length of the host chunks ParallelForChunks cuts an n-thread grid (n > 0)
+/// into on `stream`: chunk c is [c * len, min((c + 1) * len, n)). Small grids
+/// are one chunk run inline; larger ones use coarse chunks, each covering
+/// many simulated blocks to amortize host scheduling (geometry shared with
+/// the pool via launch_config.h).
+inline size_t HostChunkLength(Stream& stream, size_t n) {
+  if (n <= kInlineGridThreshold) return n;
+  return HostChunkThreads(n, stream.device().pool().num_threads());
+}
+
 /// Launches the grid ParallelFor(stream, n, stats, ...) launches, with the
 /// same charge, but calls body(begin, end) once per host chunk; the chunks
 /// partition [0, n) exactly once. Chunks run concurrently, so the body may
@@ -45,19 +55,14 @@ void ParallelForChunks(Stream& stream, size_t n, KernelStats stats,
   stats.ops = std::max<uint64_t>(stats.ops, n);  // at least one op per thread
   stream.ChargeKernel(stats);
   if (n == 0) return;
-  if (n <= kInlineGridThreshold) {
+  const size_t chunk = HostChunkLength(stream, n);
+  if (chunk == n) {
     // Small-grid fast path: the pool dispatch would cost more host time than
     // the loop itself. Simulated time is unaffected (charged above).
     body(size_t{0}, n);
     return;
   }
-  // Use coarse host-side chunks: each chunk covers many simulated blocks to
-  // amortize scheduling on the host (geometry shared with the pool via
-  // launch_config.h).
-  const size_t chunk =
-      HostChunkThreads(n, stream.device().pool().num_threads());
-  const size_t num_chunks = NumHostChunks(n, chunk);
-  stream.device().pool().ParallelFor(num_chunks, [&](size_t c) {
+  stream.device().pool().ParallelFor(NumHostChunks(n, chunk), [&](size_t c) {
     const size_t begin = c * chunk;
     body(begin, std::min(begin + chunk, n));
   });
@@ -79,12 +84,19 @@ struct BlockContext {
   size_t block_size = 0;
 };
 
+/// Charges exactly what LaunchBlocks with the same arguments charges, and
+/// runs nothing: for a launch whose work the host does elsewhere.
+inline void ChargeBlocks(Stream& stream, size_t num_blocks, size_t block_size,
+                         KernelStats stats) {
+  stats.ops = std::max<uint64_t>(stats.ops, num_blocks * block_size);
+  stream.ChargeKernel(stats);
+}
+
 /// Launches `num_blocks` cooperative blocks; body(ctx) once per block.
 template <typename Body>
 void LaunchBlocks(Stream& stream, size_t num_blocks, size_t block_size,
                   KernelStats stats, Body&& body) {
-  stats.ops = std::max<uint64_t>(stats.ops, num_blocks * block_size);
-  stream.ChargeKernel(stats);
+  ChargeBlocks(stream, num_blocks, block_size, stats);
   if (num_blocks == 0) return;
   stream.device().pool().ParallelFor(num_blocks, [&](size_t b) {
     BlockContext ctx;

@@ -95,8 +95,9 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
                      gpusim::DeviceGroup& group, int d,
                      const std::string& backend_name,
                      const std::vector<std::pair<size_t, size_t>>& ranges,
-                     const ShardedQueryOptions& options, uint64_t footprint,
-                     WorkerState& ws) {
+                     const ShardedQueryOptions& options,
+                     const detail::QueryEncodings* encodings,
+                     uint64_t footprint, WorkerState& ws) {
   bool admitted = false;
   uint64_t stream_id = 0;
   size_t next_range = 0;  // first range not yet accumulated
@@ -125,14 +126,16 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
     }
     {
       gpusim::Device::ReservationScope scope(dev, stream_id);
-      const auto upload = [&](const storage::Table& t, uint64_t* bytes) {
+      // `choices` null: a lineitem slice, which analyzes itself.
+      const auto upload = [&](const storage::Table& t, uint64_t* bytes,
+                              const detail::Choices* choices) {
         // Transient wire faults replay the upload, mirroring the executor's
         // node-replay policy; simulated time of failed attempts stays
         // charged. DeviceLost is sticky and escapes to the recovery path.
         for (int attempt = 1;; ++attempt) {
           try {
             if (options.use_encoding) {
-              return storage::UploadTableEncoded(stream, t, bytes);
+              return storage::UploadTableEncoded(stream, t, bytes, choices);
             }
             if (bytes != nullptr) *bytes = detail::HostTableBytes(t);
             return storage::UploadTable(stream, t);
@@ -147,16 +150,21 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
       storage::DeviceTable orders, customer, part;
       uint64_t bcast = 0;
       uint64_t b = 0;
+      const auto shared = [&](detail::Choices detail::QueryEncodings::*table) {
+        return encodings != nullptr ? &(encodings->*table) : nullptr;
+      };
       if (detail::NeedsOrders(q)) {
-        orders = upload(*tables.orders, &b);
+        orders = upload(*tables.orders, &b,
+                        shared(&detail::QueryEncodings::orders));
         bcast += b;
       }
       if (detail::NeedsCustomer(q)) {
-        customer = upload(*tables.customer, &b);
+        customer = upload(*tables.customer, &b,
+                          shared(&detail::QueryEncodings::customer));
         bcast += b;
       }
       if (detail::NeedsPart(q)) {
-        part = upload(*tables.part, &b);
+        part = upload(*tables.part, &b, shared(&detail::QueryEncodings::part));
         bcast += b;
       }
       ws.broadcast_bytes += bcast;
@@ -169,7 +177,8 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
         if (lo >= hi) continue;  // orderkey alignment emptied this range
         const storage::Table slice = detail::SliceTable(*tables.lineitem, lo, hi);
         uint64_t slice_bytes = 0;
-        const storage::DeviceTable lineitem = upload(slice, &slice_bytes);
+        const storage::DeviceTable lineitem =
+            upload(slice, &slice_bytes, nullptr);
         const QueryPlanBundle bundle =
             detail::BuildBundle(q, lineitem, orders, customer, part);
         const PhysicalPlan phys = Optimize(bundle.plan, opt);
@@ -377,11 +386,15 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     std::unique_ptr<core::Backend> backend =
         core::BackendRegistry::Instance().Create(backend_name);
     gpusim::Stream& stream = backend->stream();
+    detail::QueryEncodings enc;
+    if (options.use_encoding) enc = detail::AnalyzeQueryTables(query, tables);
+    const detail::QueryEncodings* encodings =
+        options.use_encoding ? &enc : nullptr;
     bool admitted = false;
     uint64_t granted = 0;
     if (options.governor != nullptr) {
-      const uint64_t footprint = EstimateQueryFootprint(
-          query, tables, backend_name, 1, options.use_encoding);
+      const uint64_t footprint = detail::EstimateFootprint(
+          query, tables, backend_name, 1, encodings);
       const core::AdmissionTicket ticket = options.governor->Admit(
           0, stream.id(), footprint, options.admit_timeout_ms);
       if (!ticket.admitted()) {
@@ -397,7 +410,8 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     GovernedRunStats gstats;
     TpchQueryResult result;
     try {
-      result = RunGoverned(query, tables, *backend, gopt, &gstats);
+      result = detail::RunGovernedAnalyzed(query, tables, *backend, gopt,
+                                           &gstats, encodings);
     } catch (...) {
       if (admitted) options.governor->Release(0, stream.id());
       throw;
@@ -460,10 +474,16 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
       assigned[static_cast<size_t>(d)].emplace_back(bounds[s], bounds[s + 1]);
     }
   }
+  // One analysis of the tables serves the footprint and every device's
+  // broadcast uploads.
+  detail::QueryEncodings enc;
+  if (options.use_encoding) enc = detail::AnalyzeQueryTables(query, tables);
+  const detail::QueryEncodings* encodings =
+      options.use_encoding ? &enc : nullptr;
   // Each device's grant covers its largest single slice plus the broadcast
   // tables — the same per-slice footprint the governed ladder would size.
-  const uint64_t footprint = EstimateQueryFootprint(
-      query, tables, backend_name, shards, options.use_encoding);
+  const uint64_t footprint = detail::EstimateFootprint(
+      query, tables, backend_name, shards, encodings);
 
   // Run rounds until every slice has executed somewhere. Round 1 is the
   // normal sharded run; a round ends by collecting the unfinished slices of
@@ -478,8 +498,8 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
       if (assigned[static_cast<size_t>(d)].empty()) continue;
       threads.emplace_back([&, d] {
         RunDeviceShards(query, tables, group, d, backend_name,
-                        assigned[static_cast<size_t>(d)], options, footprint,
-                        workers[static_cast<size_t>(d)]);
+                        assigned[static_cast<size_t>(d)], options, encodings,
+                        footprint, workers[static_cast<size_t>(d)]);
       });
     }
     for (std::thread& t : threads) t.join();

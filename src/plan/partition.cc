@@ -76,19 +76,21 @@ storage::DeviceTable MetaTable(const storage::Table& table, size_t rows) {
   return out;
 }
 
-/// Like MetaTable, but sized as UploadTableEncoded would upload it: columns
-/// whose ChooseEncoding beats raw become metadata-only encoded columns. The
-/// whole-table encoding decision is reused for slices (per-slice bytes scale
-/// by row count at the whole-table code width), so a K-partition footprint
-/// prices slice uploads without re-analyzing K sub-columns.
+/// Like MetaTable, but sized as UploadTableEncoded would upload it with
+/// `choices` (the table's ChooseTableEncodings): columns whose encoding beats
+/// raw become metadata-only encoded columns. The whole-table encoding
+/// decision is reused for slices (per-slice bytes scale by row count at the
+/// whole-table code width), so a K-partition footprint prices slice uploads
+/// without re-analyzing K sub-columns.
 storage::DeviceTable MetaTableEncoded(const storage::Table& table,
-                                      size_t rows) {
+                                      size_t rows, const Choices& choices) {
   storage::DeviceTable out;
   const size_t n = table.num_rows();
-  for (const std::string& name : table.column_names()) {
+  const std::vector<std::string>& names = table.column_names();
+  for (size_t col = 0; col < names.size(); ++col) {
+    const std::string& name = names[col];
     const storage::Column& c = table.column(name);
-    const storage::EncodingChoice choice =
-        storage::ChooseEncoding(storage::AnalyzeColumn(c), n, c.type());
+    const storage::EncodingChoice& choice = choices[col];
     if (choice.encoding == storage::Encoding::kNone) {
       out.AddColumn(name, storage::DeviceColumn(
                               c.type(), rows,
@@ -491,25 +493,35 @@ namespace {
 TpchQueryResult RunAttempt(TpchQuery q, const TpchHostTables& tables,
                            core::Backend& backend, size_t k,
                            const GovernedQueryOptions& options,
+                           const QueryEncodings* encodings,
                            GovernedRunStats& stats) {
   gpusim::Stream& stream = backend.stream();
   OptimizerOptions opt;
   opt.pin_backend = backend.name();
 
-  const auto upload = [&](const storage::Table& t,
-                          uint64_t* bytes = nullptr) {
-    return options.use_encoding ? storage::UploadTableEncoded(stream, t, bytes)
-                                : storage::UploadTable(stream, t);
+  // `table` null: a lineitem slice, which analyzes itself.
+  const auto upload = [&](const storage::Table& t, uint64_t* bytes,
+                          Choices QueryEncodings::*table) {
+    if (!options.use_encoding) return storage::UploadTable(stream, t);
+    return storage::UploadTableEncoded(
+        stream, t, bytes,
+        table != nullptr && encodings != nullptr ? &(encodings->*table)
+                                                 : nullptr);
   };
 
   storage::DeviceTable orders, customer, part;
-  if (NeedsOrders(q)) orders = upload(*tables.orders);
-  if (NeedsCustomer(q)) customer = upload(*tables.customer);
-  if (NeedsPart(q)) part = upload(*tables.part);
+  if (NeedsOrders(q)) {
+    orders = upload(*tables.orders, nullptr, &QueryEncodings::orders);
+  }
+  if (NeedsCustomer(q)) {
+    customer = upload(*tables.customer, nullptr, &QueryEncodings::customer);
+  }
+  if (NeedsPart(q)) part = upload(*tables.part, nullptr, &QueryEncodings::part);
 
   if (k <= 1) {
     // Unpartitioned: byte-for-byte the ordinary upload + pinned-plan run.
-    const storage::DeviceTable lineitem = upload(*tables.lineitem);
+    const storage::DeviceTable lineitem =
+        upload(*tables.lineitem, nullptr, &QueryEncodings::lineitem);
     const QueryPlanBundle bundle =
         BuildBundle(q, lineitem, orders, customer, part);
     const PhysicalPlan phys = Optimize(bundle.plan, opt);
@@ -549,7 +561,7 @@ TpchQueryResult RunAttempt(TpchQuery q, const TpchHostTables& tables,
     // scope ends, before the next slice uploads. With encoding on, the
     // slice crosses the link (and counts as spill) at its encoded size.
     uint64_t slice_bytes = 0;
-    const storage::DeviceTable lineitem = upload(slice, &slice_bytes);
+    const storage::DeviceTable lineitem = upload(slice, &slice_bytes, nullptr);
     if (!options.use_encoding) slice_bytes = HostTableBytes(slice);
     const QueryPlanBundle bundle =
         BuildBundle(q, lineitem, orders, customer, part);
@@ -602,26 +614,45 @@ const char* PressureEventKindName(PressureEvent::Kind kind) {
   return "?";
 }
 
-uint64_t EstimateQueryFootprint(TpchQuery query, const TpchHostTables& tables,
-                                const std::string& backend_name,
-                                size_t partitions, bool use_encoding) {
+namespace detail {
+
+QueryEncodings AnalyzeQueryTables(TpchQuery q, const TpchHostTables& tables) {
+  RequireTables(q, tables);
+  QueryEncodings enc;
+  enc.lineitem = storage::ChooseTableEncodings(*tables.lineitem);
+  if (NeedsOrders(q)) enc.orders = storage::ChooseTableEncodings(*tables.orders);
+  if (NeedsCustomer(q)) {
+    enc.customer = storage::ChooseTableEncodings(*tables.customer);
+  }
+  if (NeedsPart(q)) enc.part = storage::ChooseTableEncodings(*tables.part);
+  return enc;
+}
+
+uint64_t EstimateFootprint(TpchQuery query, const TpchHostTables& tables,
+                           const std::string& backend_name, size_t partitions,
+                           const QueryEncodings* encodings) {
   RequireTables(query, tables);
   if (partitions == 0) partitions = 1;
-  const auto meta = [&](const storage::Table& t, size_t rows) {
-    return use_encoding ? MetaTableEncoded(t, rows) : MetaTable(t, rows);
+  const auto meta = [&](const storage::Table& t, size_t rows,
+                        Choices QueryEncodings::*table) {
+    return encodings != nullptr ? MetaTableEncoded(t, rows, encodings->*table)
+                                : MetaTable(t, rows);
   };
   const size_t li_rows = tables.lineitem->num_rows();
   const size_t slice_rows = (li_rows + partitions - 1) / partitions;
-  const storage::DeviceTable lineitem = meta(*tables.lineitem, slice_rows);
+  const storage::DeviceTable lineitem =
+      meta(*tables.lineitem, slice_rows, &QueryEncodings::lineitem);
   storage::DeviceTable orders, customer, part;
   if (NeedsOrders(query)) {
-    orders = meta(*tables.orders, tables.orders->num_rows());
+    orders = meta(*tables.orders, tables.orders->num_rows(),
+                  &QueryEncodings::orders);
   }
   if (NeedsCustomer(query)) {
-    customer = meta(*tables.customer, tables.customer->num_rows());
+    customer = meta(*tables.customer, tables.customer->num_rows(),
+                    &QueryEncodings::customer);
   }
   if (NeedsPart(query)) {
-    part = meta(*tables.part, tables.part->num_rows());
+    part = meta(*tables.part, tables.part->num_rows(), &QueryEncodings::part);
   }
   const QueryPlanBundle bundle =
       BuildBundle(query, lineitem, orders, customer, part);
@@ -630,10 +661,38 @@ uint64_t EstimateQueryFootprint(TpchQuery query, const TpchHostTables& tables,
   return FootprintOfPlan(Optimize(bundle.plan, opt));
 }
 
+}  // namespace detail
+
+uint64_t EstimateQueryFootprint(TpchQuery query, const TpchHostTables& tables,
+                                const std::string& backend_name,
+                                size_t partitions, bool use_encoding) {
+  if (!use_encoding) {
+    return EstimateFootprint(query, tables, backend_name, partitions, nullptr);
+  }
+  const QueryEncodings enc = AnalyzeQueryTables(query, tables);
+  return EstimateFootprint(query, tables, backend_name, partitions, &enc);
+}
+
 TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
                             core::Backend& backend,
                             const GovernedQueryOptions& options,
                             GovernedRunStats* stats) {
+  if (!options.use_encoding) {
+    return RunGovernedAnalyzed(query, tables, backend, options, stats,
+                               nullptr);
+  }
+  const QueryEncodings enc = AnalyzeQueryTables(query, tables);
+  return RunGovernedAnalyzed(query, tables, backend, options, stats, &enc);
+}
+
+namespace detail {
+
+TpchQueryResult RunGovernedAnalyzed(TpchQuery query,
+                                    const TpchHostTables& tables,
+                                    core::Backend& backend,
+                                    const GovernedQueryOptions& options,
+                                    GovernedRunStats* stats,
+                                    const QueryEncodings* encodings) {
   RequireTables(query, tables);
   gpusim::Stream& stream = backend.stream();
   gpusim::Device& device = stream.device();
@@ -644,8 +703,8 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
   GovernedRunStats& st = stats != nullptr ? *stats : local;
   st = GovernedRunStats();
 
-  const uint64_t footprint = EstimateQueryFootprint(
-      query, tables, backend.name(), 1, options.use_encoding);
+  const uint64_t footprint =
+      EstimateFootprint(query, tables, backend.name(), 1, encodings);
   const uint64_t grant = device.ReservationRemaining(stream.id());
   const uint64_t budget = grant > 0 ? grant : device.memory_capacity();
   st.footprint_bytes = footprint;
@@ -655,10 +714,10 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
   if (options.force_partitions > 0) {
     k = options.force_partitions;
   } else {
-    while (k < max_k &&
-           EstimateQueryFootprint(query, tables, backend.name(), k,
-                                  options.use_encoding) > budget) {
+    uint64_t at_k = footprint;
+    while (k < max_k && at_k > budget) {
       k *= 2;
+      at_k = EstimateFootprint(query, tables, backend.name(), k, encodings);
     }
     k = std::min(k, max_k);
   }
@@ -686,7 +745,7 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
       st.spill_h2d_bytes = 0;  // an abandoned attempt's traffic is not spill
       st.spill_d2h_bytes = 0;
       TpchQueryResult result =
-          RunAttempt(query, tables, backend, k, options, st);
+          RunAttempt(query, tables, backend, k, options, encodings, st);
       st.partitions = k;
       st.simulated_ns = stream.now_ns() - sim_start;
       return result;
@@ -702,6 +761,8 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
     }
   }
 }
+
+}  // namespace detail
 
 core::QueryFn MakeGovernedQuery(TpchQuery query, TpchHostTables tables,
                                 GovernedQueryOptions options,

@@ -12,12 +12,14 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "plan/executor.h"
 #include "plan/optimizer.h"
 #include "plan/partition.h"
 #include "plan/tpch_plans.h"
+#include "storage/encoding.h"
 #include "storage/table.h"
 
 namespace plan {
@@ -81,6 +83,33 @@ uint64_t DownloadedBytes(const QueryPlanBundle& bundle,
 uint64_t FootprintOfPlan(const PhysicalPlan& phys, bool include_scans = true);
 
 uint64_t HostTableBytes(const storage::Table& t);
+
+/// storage::ChooseTableEncodings of each host table a query reads. A
+/// governed or sharded run with encoding on analyzes its tables once and
+/// prices, sizes and uploads them from this; nothing outlives the run.
+/// Lineitem slices are not covered: each slice analyzes itself, because its
+/// choices differ from the whole table's.
+using Choices = std::vector<storage::EncodingChoice>;
+struct QueryEncodings {
+  Choices lineitem, orders, customer, part;
+};
+
+QueryEncodings AnalyzeQueryTables(TpchQuery q, const TpchHostTables& tables);
+
+/// EstimateQueryFootprint over already analyzed tables; `encodings` null
+/// prices raw uploads.
+uint64_t EstimateFootprint(TpchQuery q, const TpchHostTables& tables,
+                           const std::string& backend_name, size_t partitions,
+                           const QueryEncodings* encodings);
+
+/// RunGoverned over already analyzed tables (`encodings` non-null exactly
+/// when options.use_encoding).
+TpchQueryResult RunGovernedAnalyzed(TpchQuery query,
+                                    const TpchHostTables& tables,
+                                    core::Backend& backend,
+                                    const GovernedQueryOptions& options,
+                                    GovernedRunStats* stats,
+                                    const QueryEncodings* encodings);
 
 }  // namespace detail
 }  // namespace plan

@@ -1,6 +1,9 @@
 #include "storage/encoded_column.h"
 
 #include <cstring>
+#include <string>
+
+#include "gpusim/device.h"
 
 namespace storage {
 namespace {
@@ -11,6 +14,18 @@ DeviceColumn UploadBytes(gpusim::Stream& stream, DataType type, size_t n,
   DeviceColumn out(type, n, stream.device());
   if (bytes > 0) gpusim::CopyHostToDevice(stream, out.raw_data(), src, bytes);
   return out;
+}
+
+std::vector<EncodingChoice> ChooseTableEncodingsOn(gpusim::ThreadPool& pool,
+                                                   const Table& table) {
+  const std::vector<std::string>& names = table.column_names();
+  std::vector<EncodingChoice> choices(names.size());
+  pool.ParallelFor(names.size(), [&](size_t c) {
+    const Column& column = table.column(names[c]);
+    choices[c] =
+        ChooseEncoding(AnalyzeColumn(column), column.size(), column.type());
+  });
+  return choices;
 }
 
 }  // namespace
@@ -91,24 +106,40 @@ EncodedDeviceColumn UploadColumnEncoded(gpusim::Stream& stream,
   return out;
 }
 
+std::vector<EncodingChoice> ChooseTableEncodings(const Table& table) {
+  return ChooseTableEncodingsOn(gpusim::Device::Current().pool(), table);
+}
+
 DeviceTable UploadTableEncoded(gpusim::Stream& stream, const Table& table,
-                               uint64_t* uploaded_bytes) {
+                               uint64_t* uploaded_bytes,
+                               const std::vector<EncodingChoice>* choices) {
+  gpusim::ThreadPool& pool = stream.device().pool();
+  std::vector<EncodingChoice> analyzed;
+  if (choices == nullptr) {
+    analyzed = ChooseTableEncodingsOn(pool, table);
+    choices = &analyzed;
+  }
+  const std::vector<std::string>& names = table.column_names();
+  std::vector<EncodedColumn> hosts(names.size());
+  pool.ParallelFor(names.size(), [&](size_t c) {
+    if ((*choices)[c].encoding == Encoding::kNone) return;
+    hosts[c] = EncodeColumn(table.column(names[c]), (*choices)[c]);
+  });
+
   DeviceTable out;
   uint64_t bytes = 0;
-  for (const std::string& name : table.column_names()) {
-    const Column& column = table.column(name);
-    const EncodingChoice choice =
-        ChooseEncoding(AnalyzeColumn(column), column.size(), column.type());
-    if (choice.encoding == Encoding::kNone) {
-      out.AddColumn(name, UploadColumn(stream, column));
+  for (size_t c = 0; c < names.size(); ++c) {
+    const Column& column = table.column(names[c]);
+    if ((*choices)[c].encoding == Encoding::kNone) {
+      out.AddColumn(names[c], UploadColumn(stream, column));
       bytes += column.byte_size();
       continue;
     }
-    const EncodedColumn host = EncodeColumn(column, choice);
     auto device = std::make_shared<EncodedDeviceColumn>(
-        UploadColumnEncoded(stream, host));
+        UploadColumnEncoded(stream, hosts[c]));
+    hosts[c] = EncodedColumn();  // release the host copy early
     bytes += device->encoded_bytes;
-    out.AddEncodedColumn(name, std::move(device));
+    out.AddEncodedColumn(names[c], std::move(device));
   }
   if (uploaded_bytes != nullptr) *uploaded_bytes += bytes;
   return out;

@@ -58,12 +58,22 @@ EncodedDeviceColumn MakeEncodedMeta(Encoding encoding, DataType type,
 EncodedDeviceColumn UploadColumnEncoded(gpusim::Stream& stream,
                                         const EncodedColumn& encoded);
 
+/// ChooseEncoding(AnalyzeColumn(c)) of every column c, in column_names()
+/// order. Columns are analyzed in parallel on the current device's pool.
+std::vector<EncodingChoice> ChooseTableEncodings(const Table& table);
+
 /// Uploads a table with automatic per-column encoding: columns where an
 /// encoding beats the raw layout go up encoded-only, the rest raw. When
 /// `uploaded_bytes` is non-null it receives the total bytes that actually
-/// crossed the link (encoded + raw).
-DeviceTable UploadTableEncoded(gpusim::Stream& stream, const Table& table,
-                               uint64_t* uploaded_bytes = nullptr);
+/// crossed the link (encoded + raw). `choices`, when given, must be
+/// ChooseTableEncodings(table); otherwise the table is analyzed here. Columns
+/// are encoded in parallel on the stream device's pool, then uploaded one by
+/// one in column order, so allocations and the stream timeline do not depend
+/// on host threads.
+DeviceTable UploadTableEncoded(
+    gpusim::Stream& stream, const Table& table,
+    uint64_t* uploaded_bytes = nullptr,
+    const std::vector<EncodingChoice>* choices = nullptr);
 
 }  // namespace storage
 

@@ -18,6 +18,7 @@
 #define STORAGE_ENCODING_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "storage/column.h"
@@ -46,10 +47,6 @@ inline size_t PackedWordCount(size_t n, unsigned bits) {
 /// Smallest width able to represent `max_code` (at least 1 bit).
 unsigned BitsForMax(uint64_t max_code);
 
-/// Packs codes little-endian into 64-bit words. `out` must hold
-/// PackedWordCount(n, bits) words and be zero-initialized by the caller.
-void PackBits(const uint64_t* codes, size_t n, unsigned bits, uint64_t* out);
-
 /// Extracts code i from a packed stream.
 inline uint64_t UnpackBit(const uint64_t* words, unsigned bits, size_t i) {
   const size_t bit = i * bits;
@@ -68,6 +65,18 @@ void UnpackBits(const uint64_t* words, size_t n, unsigned bits, uint64_t* out);
 // Column statistics and encoding selection
 // ---------------------------------------------------------------------------
 
+/// A column's sorted distinct values and the open-addressed index that
+/// analysis counted them with, rewritten to map each value to its code (its
+/// rank in the sorted order). Distinct values compare with ==: -0.0 and 0.0
+/// are one value (the first one seen is kept), and a NaN equals nothing, so
+/// a column holding NaN has no dictionary.
+struct ColumnDictionary {
+  std::vector<int64_t> i64;  ///< sorted ascending (integer columns)
+  std::vector<double> f64;   ///< sorted ascending (float columns)
+  /// Index slots, a power of two many: 0 is empty, else code + 1.
+  std::vector<uint32_t> slots;
+};
+
 /// One pass of lightweight statistics driving encoding selection.
 struct ColumnStats {
   bool is_float = false;     ///< f32/f64 column (int stats meaningless)
@@ -76,11 +85,15 @@ struct ColumnStats {
   size_t distinct = 0;       ///< distinct values, capped at kMaxDictSize+1
   size_t runs = 0;           ///< number of equal-value runs
   bool monotonic = false;    ///< nondecreasing front to back
+  /// Set when dictionary encoding wins for the column, so that EncodeColumn
+  /// reuses the analysis instead of counting the values again.
+  std::shared_ptr<const ColumnDictionary> dictionary;
 };
 
 /// Distinct-value cap for dictionary encoding (2^16 entries).
 constexpr size_t kMaxDictSize = 1u << 16;
 
+/// Min/max/runs/monotonicity and the capped distinct count in one pass.
 ColumnStats AnalyzeColumn(const Column& column);
 
 /// The outcome of encoding selection: what to use and what it will cost.
@@ -92,6 +105,9 @@ struct EncodingChoice {
   unsigned bit_width = 0;      ///< code width for packed schemes
   int64_t reference = 0;       ///< FOR frame base
   uint64_t encoded_bytes = 0;  ///< total device bytes after encoding
+  /// kDictionary: the analysis' dictionary. May be null (a forced scheme),
+  /// and EncodeColumn then builds it from the column.
+  std::shared_ptr<const ColumnDictionary> dictionary;
 };
 
 /// Picks the cheapest applicable encoding for a column of n rows, or kNone

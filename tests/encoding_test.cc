@@ -8,10 +8,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "backends/backends.h"
@@ -20,6 +23,7 @@
 #include "plan/executor.h"
 #include "plan/optimizer.h"
 #include "plan/partition.h"
+#include "plan/partition_detail.h"
 #include "plan/tpch_plans.h"
 #include "storage/encoded_column.h"
 #include "tpch/datagen.h"
@@ -503,6 +507,330 @@ TEST(EncodedFootprintTest, EncodedEstimateAdmitsWhereRawPartitions) {
     const uint64_t enc = plan::EstimateQueryFootprint(
         q, tables, backends::kHandwritten, 1, true);
     EXPECT_LT(enc, raw) << plan::TpchQueryName(q);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Table analysis, distinct counting and the encoder against a reference
+// ---------------------------------------------------------------------------
+
+/// Field-by-field equality of two choices, dictionaries by content.
+void ExpectSameChoice(const EncodingChoice& want, const EncodingChoice& got,
+                      const std::string& what) {
+  EXPECT_EQ(want.encoding, got.encoding) << what;
+  EXPECT_EQ(want.bit_width, got.bit_width) << what;
+  EXPECT_EQ(want.reference, got.reference) << what;
+  EXPECT_EQ(want.encoded_bytes, got.encoded_bytes) << what;
+  ASSERT_EQ(want.dictionary == nullptr, got.dictionary == nullptr) << what;
+  if (want.dictionary != nullptr) {
+    EXPECT_EQ(want.dictionary->i64, got.dictionary->i64) << what;
+    EXPECT_EQ(want.dictionary->f64, got.dictionary->f64) << what;
+  }
+}
+
+void ExpectTableChoicesMatchColumns(const storage::Table& table,
+                                    const std::string& what) {
+  const std::vector<EncodingChoice> choices =
+      storage::ChooseTableEncodings(table);
+  ASSERT_EQ(choices.size(), table.num_columns()) << what;
+  for (size_t c = 0; c < choices.size(); ++c) {
+    const std::string& name = table.column_names()[c];
+    const Column& column = table.column(name);
+    ExpectSameChoice(ChooseEncoding(storage::AnalyzeColumn(column),
+                                    column.size(), column.type()),
+                     choices[c], what + "." + name);
+  }
+}
+
+TEST(EncodingTableAnalysisTest, MatchPerColumnChoicesOnTpchTablesAndSlices) {
+  for (const double sf : {0.002, 0.01}) {
+    tpch::Config config;
+    config.scale_factor = sf;
+    const storage::Table lineitem = tpch::GenerateLineitem(config);
+    const std::string at = "sf" + std::to_string(sf) + ".";
+    ExpectTableChoicesMatchColumns(lineitem, at + "lineitem");
+    ExpectTableChoicesMatchColumns(tpch::GenerateOrders(config), at + "orders");
+    ExpectTableChoicesMatchColumns(tpch::GenerateCustomer(config),
+                                   at + "customer");
+    ExpectTableChoicesMatchColumns(tpch::GeneratePart(config), at + "part");
+    // The slices a governed run uploads at K = 4.
+    const std::vector<size_t> bounds =
+        plan::detail::PartitionBounds(lineitem, 4, /*align_orderkey=*/true);
+    for (size_t p = 0; p + 1 < bounds.size(); ++p) {
+      ExpectTableChoicesMatchColumns(
+          plan::detail::SliceTable(lineitem, bounds[p], bounds[p + 1]),
+          at + "slice" + std::to_string(p));
+    }
+  }
+}
+
+TEST(EncodingDistinctCountTest, CapIsExactAtMaxDictSizeAndOneMore) {
+  std::vector<int32_t> v(storage::kMaxDictSize);
+  for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<int32_t>(i * 3);
+  std::mt19937 rng(5);
+  std::shuffle(v.begin(), v.end(), rng);
+  const storage::ColumnStats at_cap =
+      storage::AnalyzeColumn(Column(std::vector<int32_t>(v)));
+  EXPECT_EQ(at_cap.distinct, storage::kMaxDictSize);
+  v.push_back(-1);
+  const storage::ColumnStats over =
+      storage::AnalyzeColumn(Column(std::vector<int32_t>(v)));
+  EXPECT_EQ(over.distinct, storage::kMaxDictSize + 1);
+  EXPECT_EQ(over.dictionary, nullptr);
+  EXPECT_THROW(EncodeColumn(Column(std::vector<int32_t>(v)),
+                            Force(Encoding::kDictionary)),
+               std::invalid_argument);
+}
+
+TEST(EncodingDistinctCountTest, NegativeZeroEqualsZeroAndTheFirstOneSeenIsKept) {
+  const std::vector<double> v{-0.0, 1.5, 0.0, -0.0, 0.0, 1.5};
+  const Column column((std::vector<double>(v)));
+  EXPECT_EQ(storage::AnalyzeColumn(column).distinct, 2u);
+  const EncodedColumn encoded =
+      EncodeColumn(column, Force(Encoding::kDictionary));
+  ASSERT_EQ(encoded.dict_f64.size(), 2u);
+  EXPECT_TRUE(std::signbit(encoded.dict_f64[0]));  // -0.0 came first
+  const std::vector<double> decoded = DecodeColumnHost(encoded).values<double>();
+  for (size_t i = 0; i < v.size(); ++i) EXPECT_EQ(decoded[i], v[i]) << i;
+}
+
+TEST(EncodingDistinctCountTest, EveryNanIsDistinctAndHasNoCode) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Column column(std::vector<double>{nan, 2.0, nan, nan, 2.0});
+  const storage::ColumnStats stats = storage::AnalyzeColumn(column);
+  EXPECT_EQ(stats.distinct, 4u);
+  EXPECT_EQ(stats.dictionary, nullptr);
+  EXPECT_THROW(EncodeColumn(column, Force(Encoding::kDictionary)),
+               std::invalid_argument);
+}
+
+TEST(EncodingDistinctCountTest, DoublesWithZeroLowMantissaBits) {
+  // Whole numbers and large powers of two differ only in high bits; a hash
+  // that ignored them would put every value in one probe chain.
+  std::vector<double> v;
+  for (int rep = 0; rep < 200; ++rep) {
+    for (int k = 1; k <= 50; ++k) v.push_back(static_cast<double>(k));
+    for (int e = 0; e < 30; ++e) v.push_back(std::ldexp(1.0, 20 + e));
+  }
+  const Column column((std::vector<double>(v)));
+  const storage::ColumnStats stats = storage::AnalyzeColumn(column);
+  EXPECT_EQ(stats.distinct, 80u);
+  const EncodingChoice choice =
+      ChooseEncoding(stats, column.size(), column.type());
+  ASSERT_EQ(choice.encoding, Encoding::kDictionary);
+  ASSERT_NE(choice.dictionary, nullptr);
+  EXPECT_TRUE(std::is_sorted(choice.dictionary->f64.begin(),
+                             choice.dictionary->f64.end()));
+  EXPECT_EQ(DecodeColumnHost(EncodeColumn(column, choice)).values<double>(),
+            v);
+}
+
+TEST(EncodingDistinctCountTest, Int64Extremes) {
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> v{lo, hi, 0, lo, hi, -1};
+  const Column column((std::vector<int64_t>(v)));
+  const storage::ColumnStats stats = storage::AnalyzeColumn(column);
+  EXPECT_EQ(stats.distinct, 4u);
+  EXPECT_EQ(stats.min_i, lo);
+  EXPECT_EQ(stats.max_i, hi);
+  const EncodedColumn encoded =
+      EncodeColumn(column, Force(Encoding::kDictionary));
+  EXPECT_EQ(encoded.dict_i64, (std::vector<int64_t>{lo, -1, 0, hi}));
+  EXPECT_EQ(DecodeColumnHost(encoded).values<int64_t>(), v);
+}
+
+// A reference encoder written the plain way: an unordered_set of distinct
+// values sorted into the dictionary, a lower_bound per row, and codes packed
+// from an intermediate vector.
+namespace reference {
+
+void PackBits(const std::vector<uint64_t>& codes, unsigned bits,
+              std::vector<uint64_t>* words) {
+  words->assign(storage::PackedWordCount(codes.size(), bits), 0);
+  const uint64_t mask =
+      bits == 64 ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
+  for (size_t i = 0; i < codes.size(); ++i) {
+    const uint64_t c = codes[i] & mask;
+    const size_t bit = i * bits;
+    const unsigned off = static_cast<unsigned>(bit & 63);
+    (*words)[bit >> 6] |= c << off;
+    if (off + bits > 64) (*words)[(bit >> 6) + 1] |= c >> (64 - off);
+  }
+}
+
+template <typename T>
+void EncodeDictionary(const std::vector<T>& v, EncodedColumn* out) {
+  std::unordered_set<T> seen(v.begin(), v.end());
+  std::vector<T> dict(seen.begin(), seen.end());
+  std::sort(dict.begin(), dict.end());
+  out->bit_width = dict.empty()
+                       ? 1
+                       : storage::BitsForMax(
+                             static_cast<uint64_t>(dict.size() - 1));
+  std::vector<uint64_t> codes(v.size());
+  for (size_t i = 0; i < v.size(); ++i) {
+    codes[i] = static_cast<uint64_t>(
+        std::lower_bound(dict.begin(), dict.end(), v[i]) - dict.begin());
+  }
+  PackBits(codes, out->bit_width, &out->words);
+  if constexpr (std::is_integral_v<T>) {
+    out->dict_i64.assign(dict.begin(), dict.end());
+  } else {
+    out->dict_f64.assign(dict.begin(), dict.end());
+  }
+}
+
+template <typename T>
+EncodedColumn Encode(const std::vector<T>& v, const EncodingChoice& choice) {
+  EncodedColumn out;
+  out.encoding = choice.encoding;
+  out.type = storage::DataTypeOf<T>();
+  out.size = v.size();
+  out.bit_width = choice.bit_width;
+  out.reference = choice.reference;
+  switch (choice.encoding) {
+    case Encoding::kBitPack:
+    case Encoding::kFor:
+      if constexpr (std::is_integral_v<T>) {
+        std::vector<uint64_t> codes(v.size());
+        for (size_t i = 0; i < v.size(); ++i) {
+          codes[i] = static_cast<uint64_t>(static_cast<int64_t>(v[i]) -
+                                           choice.reference);
+        }
+        PackBits(codes, choice.bit_width, &out.words);
+      }
+      break;
+    case Encoding::kDictionary:
+      EncodeDictionary(v, &out);
+      break;
+    case Encoding::kRle:
+      if constexpr (std::is_same_v<T, int32_t>) {
+        for (size_t i = 0; i < v.size(); ++i) {
+          if (out.rle_values.empty() || v[i] != out.rle_values.back()) {
+            out.rle_values.push_back(v[i]);
+            out.rle_ends.push_back(static_cast<uint32_t>(i + 1));
+          } else {
+            out.rle_ends.back() = static_cast<uint32_t>(i + 1);
+          }
+        }
+      }
+      break;
+    case Encoding::kNone:
+      break;
+  }
+  return out;
+}
+
+}  // namespace reference
+
+template <typename T>
+void ExpectMatchesReference(const std::vector<T>& v,
+                            const EncodingChoice& choice,
+                            const std::string& what) {
+  const EncodedColumn want = reference::Encode(v, choice);
+  const EncodedColumn got = EncodeColumn(Column(std::vector<T>(v)), choice);
+  EXPECT_EQ(got.encoding, want.encoding) << what;
+  EXPECT_EQ(got.bit_width, want.bit_width) << what;
+  EXPECT_EQ(got.reference, want.reference) << what;
+  EXPECT_EQ(got.words, want.words) << what;
+  EXPECT_EQ(got.dict_i64, want.dict_i64) << what;
+  ASSERT_EQ(got.dict_f64.size(), want.dict_f64.size()) << what;
+  for (size_t i = 0; i < want.dict_f64.size(); ++i) {
+    // Bits, so that -0.0 and 0.0 differ.
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.dict_f64[i]),
+              std::bit_cast<uint64_t>(want.dict_f64[i]))
+        << what << " entry " << i;
+  }
+  EXPECT_EQ(got.rle_values, want.rle_values) << what;
+  EXPECT_EQ(got.rle_ends, want.rle_ends) << what;
+}
+
+TEST(EncodingReferenceTest, ByteIdenticalOnTpchColumns) {
+  tpch::Config config;
+  config.scale_factor = 0.005;
+  for (const storage::Table& table :
+       {tpch::GenerateLineitem(config), tpch::GenerateOrders(config),
+        tpch::GenerateCustomer(config), tpch::GeneratePart(config)}) {
+    for (const std::string& name : table.column_names()) {
+      const Column& c = table.column(name);
+      const EncodingChoice choice =
+          ChooseEncoding(storage::AnalyzeColumn(c), c.size(), c.type());
+      if (choice.encoding == Encoding::kNone) continue;
+      switch (c.type()) {
+        case DataType::kInt32:
+          ExpectMatchesReference(c.values<int32_t>(), choice, name);
+          break;
+        case DataType::kInt64:
+          ExpectMatchesReference(c.values<int64_t>(), choice, name);
+          break;
+        case DataType::kFloat64:
+          ExpectMatchesReference(c.values<double>(), choice, name);
+          break;
+        case DataType::kFloat32:
+          ExpectMatchesReference(c.values<float>(), choice, name);
+          break;
+      }
+    }
+  }
+}
+
+TEST(EncodingReferenceTest, ByteIdenticalOnRandomColumnsOfEveryScheme) {
+  std::mt19937_64 rng(23);
+  for (int iter = 0; iter < 40; ++iter) {
+    const size_t n = rng() % 3000;
+    const unsigned bits = 1 + static_cast<unsigned>(rng() % 64);
+    std::vector<int64_t> packed(n);
+    const uint64_t mask =
+        bits == 64 ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
+    for (int64_t& x : packed) x = static_cast<int64_t>(rng() & mask >> 1);
+    const std::string at = "iter " + std::to_string(iter);
+    ExpectMatchesReference(packed, Force(Encoding::kBitPack, bits), at);
+
+    std::vector<int32_t> framed(n);
+    for (int32_t& x : framed) x = 1000 + static_cast<int32_t>(rng() % 5000);
+    ExpectMatchesReference(framed, Force(Encoding::kFor, 13, 1000), at);
+
+    std::vector<int32_t> runs;
+    while (runs.size() < n) runs.insert(runs.end(), 1 + rng() % 9, rng() % 7);
+    ExpectMatchesReference(runs, Force(Encoding::kRle), at);
+
+    const size_t pool = 1 + rng() % 300;
+    std::vector<double> dict(n);
+    for (double& x : dict) {
+      const double k = static_cast<double>(rng() % pool);
+      x = k == 0 && rng() % 2 == 0 ? -0.0 : k * 0.25 - 8.0;
+    }
+    ExpectMatchesReference(dict, Force(Encoding::kDictionary), at);
+    std::vector<float> dict32(dict.begin(), dict.end());
+    ExpectMatchesReference(dict32, Force(Encoding::kDictionary), at);
+    std::vector<int64_t> wide(n);
+    for (int64_t& x : wide) x = static_cast<int64_t>(rng() % pool) << 40;
+    ExpectMatchesReference(wide, Force(Encoding::kDictionary), at);
+  }
+}
+
+TEST(EncodingReferenceTest, NarrowAndWideIntegerRangesAnalyzeAlike) {
+  // Analysis counts a narrow integer range in a byte map and a wide one in
+  // the hash set; both give the exact count and the same dictionary.
+  std::mt19937 rng(11);
+  std::vector<int64_t> narrow(5000), wide(5000);
+  for (size_t i = 0; i < narrow.size(); ++i) {
+    narrow[i] = static_cast<int64_t>(rng() % 40) * 997 - 5000;
+    wide[i] = narrow[i] * (int64_t{1} << 30);
+  }
+  const size_t distinct =
+      std::unordered_set<int64_t>(narrow.begin(), narrow.end()).size();
+  for (const std::vector<int64_t>* v : {&narrow, &wide}) {
+    const std::string what = v == &narrow ? "narrow" : "wide";
+    const Column column((std::vector<int64_t>(*v)));
+    const storage::ColumnStats stats = storage::AnalyzeColumn(column);
+    EXPECT_EQ(stats.distinct, distinct) << what;
+    const EncodingChoice choice =
+        ChooseEncoding(stats, column.size(), column.type());
+    ASSERT_EQ(choice.encoding, Encoding::kDictionary) << what;
+    ASSERT_NE(choice.dictionary, nullptr) << what;
+    ExpectMatchesReference(*v, choice, what);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -798,8 +799,10 @@ TEST(DeviceLifecycleTest, TransitionsLandInFaultTraceCategory) {
   std::vector<std::string> fault_events;
   bool saw_probe_kernel = false;
   for (const gpusim::TraceEvent& ev : tracer.events()) {
-    if (ev.category == "fault") fault_events.push_back(ev.name);
-    if (ev.category == "kernel" && ev.name == "fleet_probe") {
+    // category is a const char*: compare the characters, not the pointer.
+    const std::string_view category = ev.category;
+    if (category == "fault") fault_events.push_back(ev.name);
+    if (category == "kernel" && ev.name == "fleet_probe") {
       saw_probe_kernel = true;
     }
   }

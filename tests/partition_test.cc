@@ -200,6 +200,41 @@ TEST_F(PartitionTest, ConstrainedCapacityTriggersAutomaticPartitioning) {
   EXPECT_EQ(events[1].partitions, stats.partitions);
 }
 
+TEST_F(PartitionTest, LadderPicksTheSmallestPowerOfTwoThatFits) {
+  // The governed run sizes K from one analysis of the tables: K = 1 reuses
+  // the admission footprint, every larger rung is estimated anew.
+  CapacityGuard guard;
+  gpusim::Device& device = gpusim::Device::Default();
+  const size_t unclamped = device.memory_capacity();
+  const TpchHostTables tables = Tables();
+  for (const bool encoded : {false, true}) {
+    for (const TpchQuery q : {TpchQuery::kQ3, TpchQuery::kQ6}) {
+      device.TrimPool();
+      const uint64_t whole = EstimateQueryFootprint(
+          q, tables, backends::kHandwritten, 1, encoded);
+      const size_t capacity = whole / 3;
+      size_t want = 1;
+      while (EstimateQueryFootprint(q, tables, backends::kHandwritten, want,
+                                    encoded) > capacity) {
+        want *= 2;
+      }
+      device.set_memory_capacity(capacity);
+      GovernedQueryOptions options;
+      options.use_encoding = encoded;
+      GovernedRunStats stats;
+      auto backend = MakeBackend();
+      (void)RunGoverned(q, tables, *backend, options, &stats);
+      device.set_memory_capacity(unclamped);
+      const std::string what =
+          std::string(TpchQueryName(q)) + (encoded ? " encoded" : " raw");
+      EXPECT_EQ(stats.footprint_bytes, whole) << what;
+      EXPECT_GT(want, 1u) << what;
+      // An OOM fallback doubles K past the estimate; undo those doublings.
+      EXPECT_EQ(stats.partitions >> stats.oom_fallbacks, want) << what;
+    }
+  }
+}
+
 TEST_F(PartitionTest, FootprintEstimateShrinksWithPartitionsAndIsDeterministic) {
   const TpchHostTables tables = Tables();
   for (const TpchQuery q : {TpchQuery::kQ1, TpchQuery::kQ3, TpchQuery::kQ4,
