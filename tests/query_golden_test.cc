@@ -1,0 +1,382 @@
+// Golden cost table of the five TPC-H queries through the plan runners.
+//
+// Every query x backend x {raw, encoded upload} runs through RunGoverned at
+// K=1 and at four forced partitions, and through RunSharded on a 4-device
+// group for every backend that can shard. Each run's simulated ns, kernel
+// launches, device DRAM bytes, and the runner's own traffic (spill h2d/d2h
+// for governed runs, broadcast/exchange bytes for sharded ones) must equal
+// the checked-in row exactly, and its answer must match the host reference.
+//
+// Simulated time is a pure function of the issued commands, so these values
+// do not depend on the host: they hold on one core and on many. The table is
+// the exact target any refactor of the query runners, partials or plan
+// builders has to keep.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/registry.h"
+#include "core/resilience.h"
+#include "gpusim/device.h"
+#include "gpusim/device_group.h"
+#include "plan/exchange.h"
+#include "plan/partition.h"
+#include "tpch/datagen.h"
+#include "tpch/queries.h"
+
+namespace plan {
+namespace {
+
+/// How one golden row runs its query.
+enum class Mode {
+  kWhole,        ///< RunGoverned, one partition
+  kPartitioned,  ///< RunGoverned, force_partitions = 4
+  kSharded,      ///< RunSharded on a 4-device group
+};
+
+/// One run's costs. `moved_in`/`moved_out` are the runner's own traffic:
+/// spill h2d/d2h bytes for governed runs, broadcast/exchange bytes for
+/// sharded runs.
+struct Cost {
+  uint64_t sim_ns = 0;
+  uint64_t kernels = 0;
+  uint64_t dram_bytes = 0;
+  uint64_t moved_in = 0;
+  uint64_t moved_out = 0;
+};
+
+struct GoldenRow {
+  TpchQuery query;
+  const char* backend;
+  bool encoded;
+  Mode mode;
+  Cost cost;
+};
+
+constexpr double kScaleFactor = 0.005;
+
+struct Tables {
+  storage::Table lineitem, orders, customer, part;
+
+  Tables() {
+    tpch::Config config;
+    config.scale_factor = kScaleFactor;
+    lineitem = tpch::GenerateLineitem(config);
+    orders = tpch::GenerateOrders(config);
+    customer = tpch::GenerateCustomer(config);
+    part = tpch::GeneratePart(config);
+  }
+
+  TpchHostTables Host() const {
+    TpchHostTables t;
+    t.lineitem = &lineitem;
+    t.orders = &orders;
+    t.customer = &customer;
+    t.part = &part;
+    return t;
+  }
+};
+
+const Tables& SharedTables() {
+  static const Tables* tables = new Tables();
+  return *tables;
+}
+
+Cost Add(Cost a, const gpusim::CounterSnapshot& delta) {
+  a.kernels += delta.kernels_launched;
+  a.dram_bytes += delta.bytes_read + delta.bytes_written;
+  return a;
+}
+
+/// Runs one golden case on fresh devices, so no pool, compile cache or
+/// counter state carries over from an earlier case.
+Cost Measure(TpchQuery query, const std::string& backend, bool encoded,
+             Mode mode, TpchQueryResult* result) {
+  core::RegisterBuiltinBackends();
+  const TpchHostTables tables = SharedTables().Host();
+  Cost cost;
+  if (mode == Mode::kSharded) {
+    gpusim::DeviceGroup group(4);
+    std::vector<gpusim::CounterSnapshot> before;
+    for (int d = 0; d < group.size(); ++d) {
+      before.push_back(group.device(d).Snapshot());
+    }
+    ShardedQueryOptions options;
+    options.use_encoding = encoded;
+    ShardedRunStats stats;
+    *result = RunSharded(query, tables, group, backend, options, &stats);
+    for (int d = 0; d < group.size(); ++d) {
+      cost = Add(cost, group.device(d).Snapshot().Delta(
+                           before[static_cast<size_t>(d)]));
+    }
+    cost.sim_ns = stats.simulated_ns;
+    cost.moved_in = stats.broadcast_bytes;
+    cost.moved_out = stats.exchange_bytes;
+    return cost;
+  }
+  // ArrayFire funnels its work through one global stream on the default
+  // device (so does Hybrid when it dispatches there): count both devices.
+  gpusim::Device device;
+  gpusim::Device::DeviceGuard guard(device);
+  gpusim::Device& global = gpusim::Device::Default();
+  std::unique_ptr<core::Backend> b =
+      core::BackendRegistry::Instance().Create(backend);
+  const gpusim::CounterSnapshot before = device.Snapshot();
+  const gpusim::CounterSnapshot global_before = global.Snapshot();
+  GovernedQueryOptions options;
+  options.force_partitions = mode == Mode::kWhole ? 1 : 4;
+  options.use_encoding = encoded;
+  GovernedRunStats stats;
+  *result = RunGoverned(query, tables, *b, options, &stats);
+  cost = Add(cost, device.Snapshot().Delta(before));
+  cost = Add(cost, global.Snapshot().Delta(global_before));
+  cost.sim_ns = stats.simulated_ns;
+  cost.moved_in = stats.spill_h2d_bytes;
+  cost.moved_out = stats.spill_d2h_bytes;
+  return cost;
+}
+
+bool Near(double got, double want) {
+  return std::abs(got - want) <= std::abs(want) * 1e-9 + 1e-6;
+}
+
+void ExpectMatchesReference(TpchQuery query, const TpchQueryResult& got) {
+  const Tables& t = SharedTables();
+  switch (query) {
+    case TpchQuery::kQ1: {
+      const std::vector<tpch::Q1Row> want = tpch::ReferenceQ1(t.lineitem);
+      ASSERT_EQ(got.q1.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        const tpch::Q1Row& g = got.q1[i];
+        const tpch::Q1Row& w = want[i];
+        EXPECT_EQ(g.returnflag, w.returnflag);
+        EXPECT_EQ(g.linestatus, w.linestatus);
+        EXPECT_EQ(g.count_order, w.count_order);
+        EXPECT_TRUE(Near(g.sum_qty, w.sum_qty) &&
+                    Near(g.sum_base_price, w.sum_base_price) &&
+                    Near(g.sum_disc_price, w.sum_disc_price) &&
+                    Near(g.sum_charge, w.sum_charge) &&
+                    Near(g.avg_qty, w.avg_qty) &&
+                    Near(g.avg_price, w.avg_price) &&
+                    Near(g.avg_disc, w.avg_disc))
+            << "q1 row " << i;
+      }
+      break;
+    }
+    case TpchQuery::kQ3: {
+      const std::vector<tpch::Q3Row> want =
+          tpch::ReferenceQ3(t.customer, t.orders, t.lineitem);
+      ASSERT_EQ(got.q3.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.q3[i].orderkey, want[i].orderkey) << "q3 row " << i;
+        EXPECT_TRUE(Near(got.q3[i].revenue, want[i].revenue)) << "q3 row " << i;
+      }
+      break;
+    }
+    case TpchQuery::kQ4: {
+      const std::vector<tpch::Q4Row> want =
+          tpch::ReferenceQ4(t.orders, t.lineitem);
+      ASSERT_EQ(got.q4.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.q4[i].orderpriority, want[i].orderpriority);
+        EXPECT_EQ(got.q4[i].order_count, want[i].order_count);
+      }
+      break;
+    }
+    case TpchQuery::kQ6:
+      EXPECT_TRUE(Near(got.scalar, tpch::ReferenceQ6(t.lineitem)));
+      break;
+    case TpchQuery::kQ14:
+      EXPECT_TRUE(Near(got.scalar, tpch::ReferenceQ14(t.part, t.lineitem)));
+      break;
+  }
+}
+
+const char* ModeName(Mode mode) {
+  switch (mode) {
+    case Mode::kWhole: return "governed K=1";
+    case Mode::kPartitioned: return "governed K=4";
+    case Mode::kSharded: return "sharded 4 devices";
+  }
+  return "?";
+}
+
+// sf 0.005, default seed. Columns: query, backend, encoded, mode, then
+// {sim_ns, kernels, dram_bytes, moved_in, moved_out}.
+constexpr Mode W = Mode::kWhole;
+constexpr Mode P = Mode::kPartitioned;
+constexpr Mode S = Mode::kSharded;
+constexpr TpchQuery Q1 = TpchQuery::kQ1;
+constexpr TpchQuery Q3 = TpchQuery::kQ3;
+constexpr TpchQuery Q4 = TpchQuery::kQ4;
+constexpr TpchQuery Q6 = TpchQuery::kQ6;
+constexpr TpchQuery Q14 = TpchQuery::kQ14;
+
+const GoldenRow kGolden[] = {
+    {Q1, "Thrust", false, W, {1643307, 188, 43968088, 0, 0}},
+    {Q1, "Thrust", false, P, {5724025, 752, 44339220, 2036600, 864}},
+    {Q1, "Thrust", false, S, {1434062, 752, 44339220, 0, 468}},
+    {Q1, "Thrust", true, W, {1572827, 188, 44836100, 0, 0}},
+    {Q1, "Thrust", true, P, {5803699, 752, 45207232, 567736, 864}},
+    {Q1, "Thrust", true, S, {1453971, 752, 45207232, 0, 468}},
+    {Q1, "Boost.Compute", false, W, {725237369, 188, 43968088, 0, 0}},
+    {Q1, "Boost.Compute", false, P, {734040097, 752, 44339220, 2036600, 864}},
+    {Q1, "Boost.Compute", false, S, {725013101, 752, 44339220, 0, 468}},
+    {Q1, "Boost.Compute", true, W, {611187255, 188, 44836100, 0, 0}},
+    {Q1, "Boost.Compute", true, P, {620200137, 752, 45207232, 567736, 864}},
+    {Q1, "Boost.Compute", true, S, {611053101, 752, 45207232, 0, 468}},
+    {Q1, "ArrayFire", false, W, {1652306, 185, 41782592, 0, 0}},
+    {Q1, "ArrayFire", false, P, {5775628, 740, 42153040, 2036600, 864}},
+    {Q1, "ArrayFire", true, W, {1580888, 184, 42592428, 0, 0}},
+    {Q1, "ArrayFire", true, P, {5851961, 736, 42962876, 567736, 864}},
+    {Q1, "Handwritten", false, W, {989358, 65, 31122024, 0, 0}},
+    {Q1, "Handwritten", false, P, {3224371, 260, 31123476, 2036600, 864}},
+    {Q1, "Handwritten", false, S, {809116, 260, 31123476, 0, 468}},
+    {Q1, "Handwritten", true, W, {918882, 65, 31991760, 0, 0}},
+    {Q1, "Handwritten", true, P, {3304048, 260, 31993212, 567736, 864}},
+    {Q1, "Handwritten", true, S, {829027, 260, 31993212, 0, 468}},
+    {Q1, "Hybrid", false, W, {989358, 65, 31122024, 0, 0}},
+    {Q1, "Hybrid", false, P, {3224371, 260, 31123476, 2036600, 864}},
+    {Q1, "Hybrid", true, W, {940311, 68, 32829116, 0, 0}},
+    {Q1, "Hybrid", true, P, {3385473, 272, 32830600, 567736, 864}},
+    {Q3, "Thrust", false, W, {1065442, 76, 46838328, 0, 0}},
+    {Q3, "Thrust", false, P, {3037948, 296, 54225320, 2036600, 3996}},
+    {Q3, "Thrust", false, S, {852187, 296, 54225320, 900080, 4000}},
+    {Q3, "Thrust", true, W, {994677, 76, 47644212, 0, 0}},
+    {Q3, "Thrust", true, P, {3116970, 296, 54876288, 567888, 3996}},
+    {Q3, "Thrust", true, S, {871822, 296, 54876288, 796032, 4000}},
+    {Q3, "Boost.Compute", false, W, {761816155, 76, 46838328, 0, 0}},
+    {Q3, "Boost.Compute", false, P, {765808776, 296, 54225320, 2036600, 3996}},
+    {Q3, "Boost.Compute", false, S, {761575005, 296, 54225320, 900080, 4000}},
+    {Q3, "Boost.Compute", true, W, {609769725, 76, 47644212, 0, 0}},
+    {Q3, "Boost.Compute", true, P, {613972068, 296, 54876288, 567888, 3996}},
+    {Q3, "Boost.Compute", true, S, {609618710, 296, 54876288, 796032, 4000}},
+    {Q3, "ArrayFire", false, W, {47063925, 4868, 375246896, 0, 0}},
+    {Q3, "ArrayFire", false, P, {174804266, 19464, 427559044, 2036600, 3996}},
+    {Q3, "ArrayFire", true, W, {46985858, 4865, 376050898, 0, 0}},
+    {Q3, "ArrayFire", true, P, {174854097, 19452, 428212180, 567888, 3996}},
+    {Q3, "Handwritten", false, W, {869316, 61, 2135712, 0, 0}},
+    {Q3, "Handwritten", false, P, {2556405, 236, 2944980, 2036600, 3996}},
+    {Q3, "Handwritten", false, S, {731228, 236, 2944980, 900080, 4000}},
+    {Q3, "Handwritten", true, W, {798729, 61, 3016116, 0, 0}},
+    {Q3, "Handwritten", true, P, {2635732, 236, 3724024, 567888, 3996}},
+    {Q3, "Handwritten", true, S, {750945, 236, 3724024, 796032, 4000}},
+    {Q3, "Hybrid", false, W, {869316, 61, 2135712, 0, 0}},
+    {Q3, "Hybrid", false, P, {2556405, 236, 2944980, 2036600, 3996}},
+    {Q3, "Hybrid", true, W, {850708, 68, 4005824, 0, 0}},
+    {Q3, "Hybrid", true, P, {2838966, 264, 5335652, 567888, 3996}},
+    {Q4, "Thrust", false, W, {866779, 64, 12166500, 0, 0}},
+    {Q4, "Thrust", false, P, {2639887, 256, 13505228, 2036600, 240}},
+    {Q4, "Thrust", false, S, {721172, 256, 13505228, 840000, 180}},
+    {Q4, "Thrust", true, W, {786156, 62, 12776628, 0, 0}},
+    {Q4, "Thrust", true, P, {2677741, 248, 13411108, 567888, 240}},
+    {Q4, "Thrust", true, S, {730989, 248, 13411108, 382592, 180}},
+    {Q4, "Boost.Compute", false, W, {723492012, 64, 12166500, 0, 0}},
+    {Q4, "Boost.Compute", false, P, {727053664, 256, 13505228, 2036600, 240}},
+    {Q4, "Boost.Compute", false, S, {723342623, 256, 13505228, 840000, 180}},
+    {Q4, "Boost.Compute", true, W, {571421644, 62, 12776628, 0, 0}},
+    {Q4, "Boost.Compute", true, P, {575119475, 248, 13411108, 567888, 240}},
+    {Q4, "Boost.Compute", true, S, {571362434, 248, 13411108, 382592, 180}},
+    {Q4, "ArrayFire", false, W, {18021915, 1767, 71009345, 0, 0}},
+    {Q4, "ArrayFire", false, P, {63013267, 7068, 74174332, 2036600, 240}},
+    {Q4, "ArrayFire", true, W, {17839011, 1753, 70997284, 0, 0}},
+    {Q4, "ArrayFire", true, P, {62642109, 7012, 71639708, 567888, 240}},
+    {Q4, "Handwritten", false, W, {745874, 46, 3281976, 0, 0}},
+    {Q4, "Handwritten", false, P, {2216616, 184, 3609552, 2036600, 240}},
+    {Q4, "Handwritten", false, S, {615312, 184, 3609552, 840000, 180}},
+    {Q4, "Handwritten", true, W, {697238, 49, 4880056, 0, 0}},
+    {Q4, "Handwritten", true, P, {2377511, 196, 4950032, 567888, 240}},
+    {Q4, "Handwritten", true, S, {655885, 196, 4950032, 382592, 180}},
+    {Q4, "Hybrid", false, W, {745874, 46, 3281976, 0, 0}},
+    {Q4, "Hybrid", false, P, {2216616, 184, 3609552, 2036600, 240}},
+    {Q4, "Hybrid", true, W, {717662, 52, 5061312, 0, 0}},
+    {Q4, "Hybrid", true, P, {2459207, 208, 5675056, 567888, 240}},
+    {Q6, "Thrust", false, W, {423932, 17, 3877436, 0, 0}},
+    {Q6, "Thrust", false, P, {1158884, 68, 3877504, 2036600, 32}},
+    {Q6, "Thrust", false, S, {292728, 68, 3877504, 0, 24}},
+    {Q6, "Thrust", true, W, {304619, 9, 1032508, 0, 0}},
+    {Q6, "Thrust", true, P, {1069751, 36, 1034304, 567736, 32}},
+    {Q6, "Thrust", true, S, {270450, 36, 1034304, 0, 24}},
+    {Q6, "Boost.Compute", false, W, {456608562, 17, 3877436, 0, 0}},
+    {Q6, "Boost.Compute", false, P, {457892520, 68, 3877504, 2036600, 32}},
+    {Q6, "Boost.Compute", false, S, {456476137, 68, 3877504, 0, 24}},
+    {Q6, "Boost.Compute", true, W, {190452052, 9, 1032508, 0, 0}},
+    {Q6, "Boost.Compute", true, P, {191658186, 36, 1034304, 567736, 32}},
+    {Q6, "Boost.Compute", true, S, {190417557, 36, 1034304, 0, 24}},
+    {Q6, "ArrayFire", false, W, {824905, 58, 8757937, 0, 0}},
+    {Q6, "ArrayFire", false, P, {2646782, 216, 8485071, 2036600, 32}},
+    {Q6, "ArrayFire", true, W, {308119, 9, 1032508, 0, 0}},
+    {Q6, "ArrayFire", true, P, {1083751, 36, 1034304, 567736, 32}},
+    {Q6, "Handwritten", false, W, {357390, 6, 1121556, 0, 0}},
+    {Q6, "Handwritten", false, P, {912369, 24, 1121592, 2036600, 32}},
+    {Q6, "Handwritten", false, S, {231099, 24, 1121592, 0, 24}},
+    {Q6, "Handwritten", true, W, {282914, 6, 310820, 0, 0}},
+    {Q6, "Handwritten", true, P, {988049, 24, 312584, 567736, 32}},
+    {Q6, "Handwritten", true, S, {250025, 24, 312584, 0, 24}},
+    {Q6, "Hybrid", false, W, {357390, 6, 1121556, 0, 0}},
+    {Q6, "Hybrid", false, P, {912369, 24, 1121592, 2036600, 32}},
+    {Q6, "Hybrid", true, W, {304619, 9, 1032508, 0, 0}},
+    {Q6, "Hybrid", true, P, {1069751, 36, 1034304, 567736, 32}},
+    {Q14, "Thrust", false, W, {539522, 22, 3421900, 0, 0}},
+    {Q14, "Thrust", false, P, {1499484, 88, 3422016, 2036600, 64}},
+    {Q14, "Thrust", false, S, {409227, 88, 3422016, 80080, 48}},
+    {Q14, "Thrust", true, W, {459404, 21, 2686756, 0, 0}},
+    {Q14, "Thrust", true, P, {1554557, 84, 2702652, 567736, 64}},
+    {Q14, "Thrust", true, S, {422366, 84, 2702652, 40576, 48}},
+    {Q14, "Boost.Compute", false, W, {494804972, 22, 3421900, 0, 0}},
+    {Q14, "Boost.Compute", false, P, {496508926, 88, 3422016, 2036600, 64}},
+    {Q14, "Boost.Compute", false, S, {494673600, 88, 3422016, 80080, 48}},
+    {Q14, "Boost.Compute", true, W, {456737542, 21, 2686756, 0, 0}},
+    {Q14, "Boost.Compute", true, P, {458615695, 84, 2702652, 567736, 64}},
+    {Q14, "Boost.Compute", true, S, {456699665, 84, 2702652, 40576, 48}},
+    {Q14, "ArrayFire", false, W, {44821658, 4036, 14407206, 0, 0}},
+    {Q14, "ArrayFire", false, P, {168847941, 16144, 14309587, 2036600, 64}},
+    {Q14, "ArrayFire", true, W, {44640748, 4024, 11870160, 0, 0}},
+    {Q14, "ArrayFire", true, P, {168512987, 16096, 11898056, 567736, 64}},
+    {Q14, "Handwritten", false, W, {502456, 18, 449152, 0, 0}},
+    {Q14, "Handwritten", false, P, {1372570, 72, 509848, 2036600, 64}},
+    {Q14, "Handwritten", false, S, {377405, 72, 509848, 80080, 48}},
+    {Q14, "Handwritten", true, W, {433759, 19, 311340, 0, 0}},
+    {Q14, "Handwritten", true, P, {1469059, 76, 387816, 567736, 64}},
+    {Q14, "Handwritten", true, S, {400900, 76, 387816, 40576, 48}},
+    {Q14, "Hybrid", false, W, {502456, 18, 449152, 0, 0}},
+    {Q14, "Hybrid", false, P, {1372570, 72, 509848, 2036600, 64}},
+    {Q14, "Hybrid", true, W, {455466, 22, 1032288, 0, 0}},
+    {Q14, "Hybrid", true, P, {1550761, 88, 1108796, 567736, 64}},
+};
+
+void CheckQuery(TpchQuery query) {
+  core::ResilienceManager::Global().Reset();
+  size_t rows = 0;
+  for (const GoldenRow& row : kGolden) {
+    if (row.query != query) continue;
+    ++rows;
+    SCOPED_TRACE(std::string(TpchQueryName(query)) + " " + row.backend +
+                 (row.encoded ? " encoded " : " raw ") + ModeName(row.mode));
+    TpchQueryResult result;
+    const Cost got =
+        Measure(query, row.backend, row.encoded, row.mode, &result);
+    EXPECT_EQ(got.sim_ns, row.cost.sim_ns);
+    EXPECT_EQ(got.kernels, row.cost.kernels);
+    EXPECT_EQ(got.dram_bytes, row.cost.dram_bytes);
+    EXPECT_EQ(got.moved_in, row.cost.moved_in);
+    EXPECT_EQ(got.moved_out, row.cost.moved_out);
+    ExpectMatchesReference(query, result);
+  }
+  // 5 backends x 2 uploads x 2 governed modes, plus 3 shardable backends x 2
+  // uploads.
+  EXPECT_EQ(rows, 26u);
+}
+
+TEST(QueryGoldenTest, Q1) { CheckQuery(TpchQuery::kQ1); }
+TEST(QueryGoldenTest, Q3) { CheckQuery(TpchQuery::kQ3); }
+TEST(QueryGoldenTest, Q4) { CheckQuery(TpchQuery::kQ4); }
+TEST(QueryGoldenTest, Q6) { CheckQuery(TpchQuery::kQ6); }
+TEST(QueryGoldenTest, Q14) { CheckQuery(TpchQuery::kQ14); }
+
+}  // namespace
+}  // namespace plan
