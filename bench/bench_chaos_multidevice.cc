@@ -66,6 +66,7 @@
 #include "serve/server.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
+#include "tpch_verify.h"
 
 namespace {
 
@@ -129,83 +130,9 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
   return !opts->seeds.empty() && !opts->queries.empty();
 }
 
-struct References {
-  std::vector<tpch::Q1Row> q1;
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-  double q6 = 0;
-  double q14 = 0;
-};
-
-bool Near(double got, double want) {
-  return std::abs(got - want) <= std::abs(want) * 1e-9 + 1e-6;
-}
-
-bool Verify(plan::TpchQuery q, const plan::TpchQueryResult& got,
-            const References& ref, std::string* why) {
-  switch (q) {
-    case plan::TpchQuery::kQ1: {
-      if (got.q1.size() != ref.q1.size()) {
-        *why = "q1 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q1.size(); ++i) {
-        const tpch::Q1Row& g = got.q1[i];
-        const tpch::Q1Row& w = ref.q1[i];
-        if (g.returnflag != w.returnflag || g.linestatus != w.linestatus ||
-            g.count_order != w.count_order || !Near(g.sum_qty, w.sum_qty) ||
-            !Near(g.sum_charge, w.sum_charge) ||
-            !Near(g.avg_price, w.avg_price)) {
-          *why = "q1 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ3: {
-      if (got.q3.size() != ref.q3.size()) {
-        *why = "q3 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q3.size(); ++i) {
-        if (got.q3[i].orderkey != ref.q3[i].orderkey ||
-            !Near(got.q3[i].revenue, ref.q3[i].revenue)) {
-          *why = "q3 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ4: {
-      if (got.q4.size() != ref.q4.size()) {
-        *why = "q4 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q4.size(); ++i) {
-        if (got.q4[i].orderpriority != ref.q4[i].orderpriority ||
-            got.q4[i].order_count != ref.q4[i].order_count) {
-          *why = "q4 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ6:
-      if (!Near(got.scalar, ref.q6)) {
-        *why = "q6 scalar mismatch";
-        return false;
-      }
-      return true;
-    case plan::TpchQuery::kQ14:
-      if (!Near(got.scalar, ref.q14)) {
-        *why = "q14 scalar mismatch";
-        return false;
-      }
-      return true;
-  }
-  *why = "unknown query";
-  return false;
-}
+using bench::Near;
+using bench::References;
+using bench::Verify;
 
 struct ChaosPoint {
   uint64_t seed = 0;
@@ -704,12 +631,7 @@ int Run(const Options& opts) {
   tables.customer = &customer;
   tables.part = &part;
 
-  References ref;
-  ref.q1 = tpch::ReferenceQ1(lineitem);
-  ref.q3 = tpch::ReferenceQ3(customer, orders, lineitem);
-  ref.q4 = tpch::ReferenceQ4(orders, lineitem);
-  ref.q6 = tpch::ReferenceQ6(lineitem);
-  ref.q14 = tpch::ReferenceQ14(part, lineitem);
+  const References ref(tables);
 
   std::printf("bench_chaos_multidevice: sf=%g rows(lineitem)=%zu seeds=%zu "
               "shards=%zu\n\n",

@@ -37,8 +37,14 @@ struct QueryShape {
   bool use_encoding = false;
 };
 
-/// Stable hash of the shape (FNV-1a over the discriminating fields).
+/// Stable hash of the shape (FNV-1a over the discriminating fields; the
+/// query's registry entry hashes its own parameters, plan/query_spec.h).
 uint64_t QueryShapeHash(const QueryShape& shape);
+
+/// FNV-1a steps over one 64-bit value, for the shape hashes.
+uint64_t FnvU64(uint64_t h, uint64_t v);
+uint64_t FnvI64(uint64_t h, int64_t v);
+uint64_t FnvF64(uint64_t h, double v);
 
 /// Stable fingerprint of one resident table's statistics: per-column (in the
 /// host table's insertion order) the name, logical type, row count, and —

@@ -1,8 +1,5 @@
 #include "plan/tpch_plans.h"
 
-#include <algorithm>
-#include <utility>
-
 namespace plan {
 namespace {
 
@@ -12,24 +9,6 @@ using core::Predicate;
 
 NodeInput V(int node) { return NodeInput{node, Part::kValue}; }
 NodeInput Rows(int node) { return NodeInput{node, Part::kRowIds}; }
-
-/// The executed FetchGroups result as key -> value (mirrors Q1's
-/// DownloadGroups).
-std::map<int32_t, double> GroupMap(const NodeValue& fetch) {
-  std::map<int32_t, double> out;
-  for (size_t i = 0; i < fetch.host_keys.size(); ++i) {
-    out[fetch.host_keys[i]] = fetch.host_vals_f.empty()
-                                  ? static_cast<double>(fetch.host_vals_i[i])
-                                  : fetch.host_vals_f[i];
-  }
-  return out;
-}
-
-/// Map lookup defaulting to 0 (a group missing from one partial sum).
-double Lookup(const std::map<int32_t, double>& m, int32_t key) {
-  const auto it = m.find(key);
-  return it == m.end() ? 0.0 : it->second;
-}
 
 }  // namespace
 
@@ -73,63 +52,6 @@ QueryPlanBundle BuildQ1Plan(const storage::DeviceTable& lineitem,
   return b;
 }
 
-void Q1Partials::Merge(const Q1Partials& other) {
-  auto add = [](std::map<int32_t, double>& into,
-                const std::map<int32_t, double>& from) {
-    for (const auto& [k, v] : from) into[k] += v;
-  };
-  add(sum_qty, other.sum_qty);
-  add(sum_base_price, other.sum_base_price);
-  add(sum_disc_price, other.sum_disc_price);
-  add(sum_charge, other.sum_charge);
-  add(sum_disc, other.sum_disc);
-  add(count_order, other.count_order);
-}
-
-Q1Partials ExtractQ1Partials(const QueryPlanBundle& bundle,
-                             const ExecutionResult& result) {
-  auto fetch = [&](const char* name) {
-    return GroupMap(result.values[bundle.marks.at(name)]);
-  };
-  Q1Partials p;
-  p.sum_qty = fetch("sum_qty");
-  p.sum_base_price = fetch("sum_base_price");
-  p.sum_disc_price = fetch("sum_disc_price");
-  p.sum_charge = fetch("sum_charge");
-  p.sum_disc = fetch("sum_disc");
-  p.count_order = fetch("count_order");
-  return p;
-}
-
-std::vector<tpch::Q1Row> FinalizeQ1(const Q1Partials& partials) {
-  std::vector<tpch::Q1Row> rows;
-  for (const auto& [k, count] : partials.count_order) {
-    tpch::Q1Row row;
-    row.returnflag = k / 2;
-    row.linestatus = k % 2;
-    row.count_order = static_cast<int64_t>(count);
-    row.sum_qty = Lookup(partials.sum_qty, k);
-    row.sum_base_price = Lookup(partials.sum_base_price, k);
-    row.sum_disc_price = Lookup(partials.sum_disc_price, k);
-    row.sum_charge = Lookup(partials.sum_charge, k);
-    row.avg_qty = row.sum_qty / count;
-    row.avg_price = row.sum_base_price / count;
-    row.avg_disc = Lookup(partials.sum_disc, k) / count;
-    rows.push_back(row);
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const tpch::Q1Row& a, const tpch::Q1Row& b) {
-              return std::pair(a.returnflag, a.linestatus) <
-                     std::pair(b.returnflag, b.linestatus);
-            });
-  return rows;
-}
-
-std::vector<tpch::Q1Row> ExtractQ1(const QueryPlanBundle& bundle,
-                                   const ExecutionResult& result) {
-  return FinalizeQ1(ExtractQ1Partials(bundle, result));
-}
-
 QueryPlanBundle BuildQ6Plan(const storage::DeviceTable& lineitem,
                             const tpch::Q6Params& params) {
   QueryPlanBundle b;
@@ -163,12 +85,6 @@ QueryPlanBundle BuildQ6Plan(const storage::DeviceTable& lineitem,
   const int m = p.Map(MapOp::kMul, V(g_price), V(g_disc), 0.0, "revenue");
   b.marks["revenue"] = p.Reduce(V(m), AggOp::kSum, "sum(revenue)");
   return b;
-}
-
-double ExtractQ6(const QueryPlanBundle& bundle,
-                 const ExecutionResult& result) {
-  const NodeValue& v = result.values[bundle.marks.at("revenue")];
-  return v.computed ? v.scalar : 0.0;
 }
 
 QueryPlanBundle BuildQ3Plan(const storage::DeviceTable& customer,
@@ -230,49 +146,6 @@ QueryPlanBundle BuildQ3Plan(const storage::DeviceTable& customer,
   return b;
 }
 
-std::vector<tpch::Q3Row> ExtractQ3(const QueryPlanBundle& bundle,
-                                   const ExecutionResult& result,
-                                   const tpch::Q3Params& params) {
-  const NodeValue& fetch = result.values[bundle.marks.at("fetch")];
-  std::vector<tpch::Q3Row> rows;
-  if (!fetch.computed) return rows;
-  const auto& rev = fetch.host_first;
-  const auto& key = fetch.host_second;
-  const size_t k = std::min(params.limit, rev.size());
-  for (size_t i = 0; i < k; ++i) {
-    const size_t j = rev.size() - 1 - i;
-    rows.push_back(tpch::Q3Row{key[j], rev[j]});
-  }
-  return rows;
-}
-
-std::vector<tpch::Q3Row> ExtractQ3Groups(const QueryPlanBundle& bundle,
-                                         const ExecutionResult& result) {
-  const NodeValue& fetch = result.values[bundle.marks.at("fetch")];
-  std::vector<tpch::Q3Row> groups;
-  if (!fetch.computed) return groups;
-  groups.reserve(fetch.host_first.size());
-  for (size_t i = 0; i < fetch.host_first.size(); ++i) {
-    groups.push_back(tpch::Q3Row{fetch.host_second[i], fetch.host_first[i]});
-  }
-  return groups;
-}
-
-std::vector<tpch::Q3Row> FinalizeQ3(std::vector<tpch::Q3Row> groups,
-                                    const tpch::Q3Params& params) {
-  std::sort(groups.begin(), groups.end(),
-            [](const tpch::Q3Row& a, const tpch::Q3Row& b) {
-              return std::pair(a.revenue, a.orderkey) <
-                     std::pair(b.revenue, b.orderkey);
-            });
-  std::vector<tpch::Q3Row> rows;
-  const size_t k = std::min(params.limit, groups.size());
-  for (size_t i = 0; i < k; ++i) {
-    rows.push_back(groups[groups.size() - 1 - i]);
-  }
-  return rows;
-}
-
 QueryPlanBundle BuildQ4Plan(const storage::DeviceTable& orders,
                             const storage::DeviceTable& lineitem,
                             const tpch::Q4Params& params) {
@@ -307,20 +180,6 @@ QueryPlanBundle BuildQ4Plan(const storage::DeviceTable& orders,
                            "count by priority");
   b.marks["fetch"] = p.FetchGroups(gb);
   return b;
-}
-
-std::vector<tpch::Q4Row> ExtractQ4(const QueryPlanBundle& bundle,
-                                   const ExecutionResult& result) {
-  const NodeValue& fetch = result.values[bundle.marks.at("fetch")];
-  std::vector<tpch::Q4Row> rows;
-  for (size_t i = 0; i < fetch.out_rows; ++i) {
-    rows.push_back(tpch::Q4Row{fetch.host_keys[i], fetch.host_vals_i[i]});
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const tpch::Q4Row& a, const tpch::Q4Row& b) {
-              return a.orderpriority < b.orderpriority;
-            });
-  return rows;
 }
 
 QueryPlanBundle BuildQ14Plan(const storage::DeviceTable& part,
@@ -363,14 +222,6 @@ QueryPlanBundle BuildQ14Plan(const storage::DeviceTable& part,
   b.marks["total"] = r_total;
   b.marks["promo"] = p.Reduce(V(g_revp), AggOp::kSum, "promo revenue");
   return b;
-}
-
-double ExtractQ14(const QueryPlanBundle& bundle,
-                  const ExecutionResult& result) {
-  const NodeValue& total = result.values[bundle.marks.at("total")];
-  const NodeValue& promo = result.values[bundle.marks.at("promo")];
-  if (!total.computed || total.scalar == 0.0 || !promo.computed) return 0.0;
-  return 100.0 * promo.scalar / total.scalar;
 }
 
 }  // namespace plan

@@ -21,6 +21,7 @@
 #include "gpusim/fault.h"
 #include "plan/executor.h"
 #include "plan/optimizer.h"
+#include "plan/query_spec.h"
 #include "plan/tpch_plans.h"
 #include "storage/device_column.h"
 #include "tpch/datagen.h"
@@ -284,13 +285,17 @@ TEST_P(PlanGoldenTest, PinnedPlanReproducesHandCodedResultsAndTimeline) {
         [](const plan::QueryPlanBundle& bundle,
            const plan::ExecutionResult& res,
            const std::vector<tpch::Q1Row>& expected) {
-          ExpectQ1Equal(plan::ExtractQ1(bundle, res), expected);
+          ExpectQ1Equal(
+              plan::ExtractResult(plan::TpchQuery::kQ1, bundle, res).q1,
+              expected);
         });
   check(plan::BuildQ6Plan(*lineitem_), "q6",
         [&](core::Backend& b) { return tpch::RunQ6(b, *lineitem_); },
         [](const plan::QueryPlanBundle& bundle,
            const plan::ExecutionResult& res, double expected) {
-          ExpectNear(plan::ExtractQ6(bundle, res), expected);
+          ExpectNear(
+              plan::ExtractResult(plan::TpchQuery::kQ6, bundle, res).scalar,
+              expected);
         });
   check(plan::BuildQ3Plan(*customer_, *orders_, *lineitem_), "q3",
         [&](core::Backend& b) {
@@ -299,21 +304,26 @@ TEST_P(PlanGoldenTest, PinnedPlanReproducesHandCodedResultsAndTimeline) {
         [](const plan::QueryPlanBundle& bundle,
            const plan::ExecutionResult& res,
            const std::vector<tpch::Q3Row>& expected) {
-          ExpectQ3Equal(plan::ExtractQ3(bundle, res, tpch::Q3Params()),
-                        expected);
+          ExpectQ3Equal(
+              plan::ExtractResult(plan::TpchQuery::kQ3, bundle, res).q3,
+              expected);
         });
   check(plan::BuildQ4Plan(*orders_, *lineitem_), "q4",
         [&](core::Backend& b) { return tpch::RunQ4(b, *orders_, *lineitem_); },
         [](const plan::QueryPlanBundle& bundle,
            const plan::ExecutionResult& res,
            const std::vector<tpch::Q4Row>& expected) {
-          ExpectQ4Equal(plan::ExtractQ4(bundle, res), expected);
+          ExpectQ4Equal(
+              plan::ExtractResult(plan::TpchQuery::kQ4, bundle, res).q4,
+              expected);
         });
   check(plan::BuildQ14Plan(*part_, *lineitem_), "q14",
         [&](core::Backend& b) { return tpch::RunQ14(b, *part_, *lineitem_); },
         [](const plan::QueryPlanBundle& bundle,
            const plan::ExecutionResult& res, double expected) {
-          ExpectNear(plan::ExtractQ14(bundle, res), expected);
+          ExpectNear(
+              plan::ExtractResult(plan::TpchQuery::kQ14, bundle, res).scalar,
+              expected);
         });
 }
 
@@ -375,7 +385,8 @@ TEST_F(PlanTest, HybridQ6MatchesReferenceAnswer) {
   const plan::ExecutionResult res = plan::RunHybrid(phys);
 
   auto backend = core::BackendRegistry::Instance().Create("Handwritten");
-  ExpectNear(plan::ExtractQ6(bundle, res), tpch::RunQ6(*backend, *lineitem_));
+  ExpectNear(plan::ExtractResult(plan::TpchQuery::kQ6, bundle, res).scalar,
+             tpch::RunQ6(*backend, *lineitem_));
 }
 
 TEST_F(PlanTest, HybridQ3MatchesReferenceAnswer) {
@@ -385,7 +396,7 @@ TEST_F(PlanTest, HybridQ3MatchesReferenceAnswer) {
       plan::RunHybrid(plan::Optimize(bundle.plan, plan::OptimizerOptions()));
 
   auto backend = core::BackendRegistry::Instance().Create("Handwritten");
-  ExpectQ3Equal(plan::ExtractQ3(bundle, res, tpch::Q3Params()),
+  ExpectQ3Equal(plan::ExtractResult(plan::TpchQuery::kQ3, bundle, res).q3,
                 tpch::RunQ3(*backend, *customer_, *orders_, *lineitem_));
 }
 
@@ -463,7 +474,8 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
   // Three runs: enough fatal failures to trip the default breaker.
   for (int round = 0; round < 3; ++round) {
     const plan::ExecutionResult res = plan::RunHybrid(phys);
-    ExpectNear(plan::ExtractQ6(bundle, res), expected);
+    ExpectNear(plan::ExtractResult(plan::TpchQuery::kQ6, bundle, res).scalar,
+               expected);
   }
   gpusim::Device::Default().set_fault_injector(nullptr);
 
@@ -480,7 +492,10 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
   for (const std::string& b : rerouted.node_backend) {
     EXPECT_NE(b, "Handwritten");
   }
-  ExpectNear(plan::ExtractQ6(bundle, plan::RunHybrid(rerouted)), expected);
+  ExpectNear(plan::ExtractResult(plan::TpchQuery::kQ6, bundle,
+                                 plan::RunHybrid(rerouted))
+                 .scalar,
+             expected);
 
   // Opting out of breaker-aware dispatch restores the original assignment.
   plan::OptimizerOptions ignore;
