@@ -9,7 +9,8 @@
 // stay the source of truth, so the only extra cost is the priced
 // host<->device traffic of the slices and partial downloads ("spill" bytes).
 //
-// Correctness: partials merge by addition (Q1/Q4/Q6/Q14 sums and counts) or
+// Correctness: partials (the query registry's mark-driven Partial,
+// plan/query_spec.h) merge by addition (Q1/Q4/Q6/Q14 sums and counts) or
 // disjoint concatenation (Q3 per-orderkey groups; lineitem is generated
 // grouped by order with nondecreasing l_orderkey, and partition boundaries
 // snap to orderkey change points, so per-partition key sets are disjoint).

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -96,6 +97,16 @@ class Column {
   }
 
   size_t byte_size() const { return size() * DataTypeSize(type()); }
+
+  /// Copy of rows [lo, hi).
+  Column Slice(size_t lo, size_t hi) const {
+    return std::visit(
+        [&](const auto& v) {
+          using Vec = std::decay_t<decltype(v)>;
+          return Column(Vec(v.begin() + lo, v.begin() + hi));
+        },
+        data_);
+  }
 
  private:
   // Variant index order must match the DataType enum order.

@@ -27,10 +27,19 @@
 #include "plan/explain.h"
 #include "plan/optimizer.h"
 #include "plan/partition.h"
-#include "plan/tpch_plans.h"
+#include "plan/query_spec.h"
 #include "storage/encoded_column.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
+
+namespace {
+
+int Usage() {
+  std::cerr << "usage: plan_explain [q1|q6|q3|q4|q14] [--pin=<backend>] "
+               "[--sf=N] [--encoded] [--devices=N] [--shards=K]\n";
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   core::RegisterBuiltinBackends();
@@ -52,14 +61,17 @@ int main(int argc, char** argv) {
       devices = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--shards=", 0) == 0) {
       shards = static_cast<size_t>(std::strtoul(arg.c_str() + 9, nullptr, 10));
-    } else if (arg == "q1" || arg == "q6" || arg == "q3" || arg == "q4" ||
-               arg == "q14") {
+    } else if (arg.rfind("--", 0) != 0) {
       query = arg;
     } else {
-      std::cerr << "usage: plan_explain [q1|q6|q3|q4|q14] [--pin=<backend>] "
-                   "[--sf=N] [--encoded] [--devices=N] [--shards=K]\n";
-      return 2;
+      return Usage();
     }
+  }
+  plan::TpchQuery q;
+  try {
+    q = plan::ParseTpchQuery(query);
+  } catch (const std::invalid_argument&) {
+    return Usage();
   }
   if (devices < 1) {
     std::cerr << "error: --devices must be >= 1\n";
@@ -78,31 +90,20 @@ int main(int argc, char** argv) {
   };
   // Host tables stay alive for the whole run: the sharded planner reads them
   // and plan scans hold pointers into their device uploads.
-  const storage::Table host_lineitem = tpch::GenerateLineitem(config);
-  storage::Table host_customer, host_orders, host_part;
-  const storage::DeviceTable lineitem = upload(host_lineitem);
-
-  storage::DeviceTable customer, orders, part;
-  plan::QueryPlanBundle bundle;
-  if (query == "q1") {
-    bundle = plan::BuildQ1Plan(lineitem);
-  } else if (query == "q6") {
-    bundle = plan::BuildQ6Plan(lineitem);
-  } else if (query == "q3") {
-    host_customer = tpch::GenerateCustomer(config);
-    host_orders = tpch::GenerateOrders(config);
-    customer = upload(host_customer);
-    orders = upload(host_orders);
-    bundle = plan::BuildQ3Plan(customer, orders, lineitem);
-  } else if (query == "q4") {
-    host_orders = tpch::GenerateOrders(config);
-    orders = upload(host_orders);
-    bundle = plan::BuildQ4Plan(orders, lineitem);
-  } else {  // q14
-    host_part = tpch::GeneratePart(config);
-    part = upload(host_part);
-    bundle = plan::BuildQ14Plan(part, lineitem);
+  const plan::QuerySpec& spec = plan::GetQuerySpec(q);
+  plan::PerTable<storage::Table> host;
+  plan::PerTable<const storage::Table*> host_read{};
+  plan::PerTable<storage::DeviceTable> device;
+  plan::DeviceTables device_read{};
+  for (const plan::TpchTable t : plan::TablesRead(spec)) {
+    const size_t i = static_cast<size_t>(t);
+    host[i] = plan::GenerateTable(t, config);
+    host_read[i] = &host[i];
+    device[i] = upload(host[i]);
+    device_read[i] = &device[i];
   }
+  const plan::QueryPlanBundle bundle =
+      spec.build(device_read, plan::QueryShape());
 
   plan::OptimizerOptions options;
   options.pin_backend = pin;
@@ -129,16 +130,13 @@ int main(int argc, char** argv) {
   std::cout << plan::Explain(phys, result);
 
   if (devices > 1 || shards > 0) {
-    plan::TpchHostTables tables;
-    tables.lineitem = &host_lineitem;
-    tables.orders = host_orders.num_rows() > 0 ? &host_orders : nullptr;
-    tables.customer = host_customer.num_rows() > 0 ? &host_customer : nullptr;
-    tables.part = host_part.num_rows() > 0 ? &host_part : nullptr;
+    const plan::TpchHostTables tables{host_read[0], host_read[1],
+                                      host_read[2], host_read[3]};
     gpusim::DeviceGroup group(devices);
-    const plan::ShardedPlanSpec spec = plan::PlanShardedExecution(
-        plan::ParseTpchQuery(query), tables, group, shards);
+    const plan::ShardedPlanSpec sharded =
+        plan::PlanShardedExecution(q, tables, group, shards);
     const std::string explain_backend = pin.empty() ? "Handwritten" : pin;
-    std::cout << "\n" << plan::ExplainSharded(spec, group, explain_backend);
+    std::cout << "\n" << plan::ExplainSharded(sharded, group, explain_backend);
   }
   return 0;
 }

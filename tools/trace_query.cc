@@ -32,6 +32,7 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/error.h"
 #include "core/governor.h"
@@ -41,8 +42,20 @@
 #include "gpusim/fault.h"
 #include "gpusim/trace.h"
 #include "plan/partition.h"
+#include "plan/query_spec.h"
 #include "storage/encoded_column.h"
 #include "tpch/queries.h"
+
+namespace {
+
+int Usage() {
+  std::cerr << "usage: trace_query [backend] [q1|q6|q3|q4|q14] [out.json] "
+               "[--chaos-seed=N] [--capacity-bytes=N] [--encoded] "
+               "[--fleet-readmit=N]\n";
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   core::RegisterBuiltinBackends();
@@ -85,26 +98,21 @@ int main(int argc, char** argv) {
         return 2;
     }
   }
-  if ((query != "q1" && query != "q6" && query != "q3" && query != "q4" &&
-       query != "q14") ||
-      fleet_readmit < 0) {
-    std::cerr << "usage: trace_query [backend] [q1|q6|q3|q4|q14] [out.json] "
-                 "[--chaos-seed=N] [--capacity-bytes=N] [--encoded] "
-                 "[--fleet-readmit=N]\n";
-    return 2;
+  plan::TpchQuery q;
+  try {
+    q = plan::ParseTpchQuery(query);
+  } catch (const std::invalid_argument&) {
+    return Usage();
   }
+  if (fleet_readmit < 0) return Usage();
 
   tpch::Config config;
   config.scale_factor = 0.01;
-  const storage::Table lineitem = tpch::GenerateLineitem(config);
-  storage::Table customer, orders, part;
-  if (query == "q3") {
-    customer = tpch::GenerateCustomer(config);
-    orders = tpch::GenerateOrders(config);
-  } else if (query == "q4") {
-    orders = tpch::GenerateOrders(config);
-  } else if (query == "q14") {
-    part = tpch::GeneratePart(config);
+  const std::vector<plan::TpchTable> read =
+      plan::TablesRead(plan::GetQuerySpec(q));
+  plan::PerTable<storage::Table> host;
+  for (const plan::TpchTable t : read) {
+    host[static_cast<size_t>(t)] = plan::GenerateTable(t, config);
   }
 
   auto backend = core::BackendRegistry::Instance().Create(backend_name);
@@ -113,39 +121,30 @@ int main(int argc, char** argv) {
 
   // Governed mode uploads inside the governed run (slices and all), so the
   // fixture tables stay host-side; ungoverned mode pre-uploads as before.
-  storage::DeviceTable dev_lineitem, dev_customer, dev_orders, dev_part;
+  plan::PerTable<storage::DeviceTable> dev;
   if (governed) {
     device.set_memory_capacity(capacity_bytes);
     std::cout << "memory: capacity constrained to " << capacity_bytes
               << " bytes\n";
   } else {
-    const auto upload = [&](const storage::Table& t) {
-      return encoded ? storage::UploadTableEncoded(stream, t)
-                     : storage::UploadTable(stream, t);
-    };
-    dev_lineitem = upload(lineitem);
-    if (query == "q3") {
-      dev_customer = upload(customer);
-      dev_orders = upload(orders);
-    } else if (query == "q4") {
-      dev_orders = upload(orders);
-    } else if (query == "q14") {
-      dev_part = upload(part);
+    for (const plan::TpchTable t : read) {
+      const size_t i = static_cast<size_t>(t);
+      dev[i] = encoded ? storage::UploadTableEncoded(stream, host[i])
+                       : storage::UploadTable(stream, host[i]);
     }
   }
+  const storage::DeviceTable& dev_lineitem = dev[0];
+  const storage::DeviceTable& dev_orders = dev[1];
+  const storage::DeviceTable& dev_customer = dev[2];
+  const storage::DeviceTable& dev_part = dev[3];
 
-  plan::TpchHostTables tables;
-  tables.lineitem = &lineitem;
-  tables.orders = &orders;
-  tables.customer = &customer;
-  tables.part = &part;
+  const plan::TpchHostTables tables{&host[0], &host[1], &host[2], &host[3]};
   core::GovernorOptions governor_opts;
   governor_opts.device = &device;
   core::MemoryGovernor governor(governor_opts);
 
   const auto run = [&] {
     if (governed) {
-      const plan::TpchQuery q = plan::ParseTpchQuery(query);
       const uint64_t footprint =
           plan::EstimateQueryFootprint(q, tables, backend->name(),
                                        /*partitions=*/1, encoded);
