@@ -18,12 +18,12 @@
 //   bench_chaos [--backend=Handwritten] [--clients=4] [--per-client=5]
 //               [--seed=42] [--sf=0.005] [--json=FILE]
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,9 +33,9 @@
 #include "core/scheduler.h"
 #include "gpusim/device.h"
 #include "gpusim/fault.h"
-#include "storage/device_column.h"
+#include "plan/prepared.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
+#include "tpch_verify.h"
 
 namespace {
 
@@ -78,65 +78,14 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
 const char* const kKinds[] = {"q1", "q3", "q4", "q6", "q14"};
 constexpr size_t kNumKinds = 5;
 
-/// One query's captured answer (only the member matching the kind is set).
-struct Answer {
-  std::vector<tpch::Q1Row> q1;
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-  double scalar = 0.0;  // q6 / q14
-};
-
-bool Near(double a, double b) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= 1e-6 * scale;
-}
-
-/// Compares a captured answer against the host reference; prints the first
+/// Checks a captured answer against the host reference; prints the first
 /// mismatch.
-bool CheckAnswer(const std::string& kind, const Answer& got,
-                 const Answer& ref) {
-  const auto fail = [&](const char* what) {
-    std::fprintf(stderr, "WRONG ANSWER: %s %s\n", kind.c_str(), what);
-    return false;
-  };
-  if (kind == "q1") {
-    if (got.q1.size() != ref.q1.size()) return fail("row count differs");
-    for (size_t i = 0; i < ref.q1.size(); ++i) {
-      const tpch::Q1Row& g = got.q1[i];
-      const tpch::Q1Row& r = ref.q1[i];
-      if (g.returnflag != r.returnflag || g.linestatus != r.linestatus ||
-          g.count_order != r.count_order || !Near(g.sum_qty, r.sum_qty) ||
-          !Near(g.sum_base_price, r.sum_base_price) ||
-          !Near(g.sum_disc_price, r.sum_disc_price) ||
-          !Near(g.sum_charge, r.sum_charge) || !Near(g.avg_qty, r.avg_qty) ||
-          !Near(g.avg_price, r.avg_price) || !Near(g.avg_disc, r.avg_disc)) {
-        return fail("row mismatch");
-      }
-    }
-    return true;
-  }
-  if (kind == "q3") {
-    if (got.q3.size() != ref.q3.size()) return fail("row count differs");
-    for (size_t i = 0; i < ref.q3.size(); ++i) {
-      if (got.q3[i].orderkey != ref.q3[i].orderkey ||
-          !Near(got.q3[i].revenue, ref.q3[i].revenue)) {
-        return fail("row mismatch");
-      }
-    }
-    return true;
-  }
-  if (kind == "q4") {
-    if (got.q4.size() != ref.q4.size()) return fail("row count differs");
-    for (size_t i = 0; i < ref.q4.size(); ++i) {
-      if (got.q4[i].orderpriority != ref.q4[i].orderpriority ||
-          got.q4[i].order_count != ref.q4[i].order_count) {
-        return fail("row mismatch");
-      }
-    }
-    return true;
-  }
-  if (!Near(got.scalar, ref.scalar)) return fail("scalar differs");
-  return true;
+bool CheckAnswer(const std::string& kind, const plan::TpchQueryResult& got,
+                 const bench::References& ref) {
+  std::string why;
+  if (bench::Verify(plan::ParseTpchQuery(kind), got, ref, &why)) return true;
+  std::fprintf(stderr, "WRONG ANSWER: %s\n", why.c_str());
+  return false;
 }
 
 int Run(const Options& opts) {
@@ -151,52 +100,33 @@ int Run(const Options& opts) {
 
   gpusim::Device& device = gpusim::Device::Default();
   gpusim::Stream setup(device, gpusim::ApiProfile::Cuda());
-  const storage::DeviceTable dev_lineitem =
-      storage::UploadTable(setup, lineitem);
-  const storage::DeviceTable dev_orders = storage::UploadTable(setup, orders);
-  const storage::DeviceTable dev_customer =
-      storage::UploadTable(setup, customer);
-  const storage::DeviceTable dev_part = storage::UploadTable(setup, part);
+  const plan::TpchHostTables host{&lineitem, &orders, &customer, &part};
+  const auto resident =
+      plan::MakeResident(setup, host, /*use_encoding=*/false);
 
   // Host reference answers, computed once.
-  std::map<std::string, Answer> reference;
-  reference["q1"].q1 = tpch::ReferenceQ1(lineitem);
-  reference["q3"].q3 = tpch::ReferenceQ3(customer, orders, lineitem);
-  reference["q4"].q4 = tpch::ReferenceQ4(orders, lineitem);
-  reference["q6"].scalar = tpch::ReferenceQ6(lineitem);
-  reference["q14"].scalar = tpch::ReferenceQ14(part, lineitem);
+  const bench::References reference(host);
 
+  // Each kind's plan, prepared once and pinned to the benchmarked backend.
+  std::map<std::string, std::shared_ptr<const plan::PreparedTpchQuery>>
+      prepared;
+  for (const char* kind : kKinds) {
+    plan::QueryShape shape;
+    shape.query = plan::ParseTpchQuery(kind);
+    prepared[kind] = plan::PrepareTpchQuery(shape, resident, opts.backend);
+  }
   const auto make_query = [&](const std::string& kind,
-                              Answer* slot) -> core::QueryFn {
-    if (kind == "q1") {
-      return [&, slot](core::Backend& b) { slot->q1 = tpch::RunQ1(b, dev_lineitem); };
-    }
-    if (kind == "q3") {
-      return [&, slot](core::Backend& b) {
-        slot->q3 = tpch::RunQ3(b, dev_customer, dev_orders, dev_lineitem);
-      };
-    }
-    if (kind == "q4") {
-      return [&, slot](core::Backend& b) {
-        slot->q4 = tpch::RunQ4(b, dev_orders, dev_lineitem);
-      };
-    }
-    if (kind == "q6") {
-      return [&, slot](core::Backend& b) { slot->scalar = tpch::RunQ6(b, dev_lineitem); };
-    }
-    if (kind == "q14") {
-      return [&, slot](core::Backend& b) {
-        slot->scalar = tpch::RunQ14(b, dev_part, dev_lineitem);
-      };
-    }
-    throw std::invalid_argument("unknown query kind: " + kind);
+                              plan::TpchQueryResult* slot) -> core::QueryFn {
+    return [query = prepared.at(kind), slot](core::Backend& b) {
+      *slot = query->Run(b);
+    };
   };
 
   // Runs every kind once on a single fault-free client and returns the
   // per-kind simulated time.
   const auto golden_pass = [&](const char* label,
-                               std::vector<Answer>* answers) {
-    answers->assign(kNumKinds, Answer());
+                               std::vector<plan::TpchQueryResult>* answers) {
+    answers->assign(kNumKinds, plan::TpchQueryResult());
     core::SchedulerOptions sched_opts;
     sched_opts.backend_name = opts.backend;
     sched_opts.num_clients = 1;
@@ -224,7 +154,7 @@ int Run(const Options& opts) {
 
   // Warmup (pool + lazily-built structures), then the golden baseline and a
   // determinism re-check before any fault is armed.
-  std::vector<Answer> golden_answers;
+  std::vector<plan::TpchQueryResult> golden_answers;
   golden_pass("warmup", &golden_answers);
   const std::map<std::string, uint64_t> golden = golden_pass("golden", &golden_answers);
   const std::map<std::string, uint64_t> golden2 =
@@ -236,7 +166,7 @@ int Run(const Options& opts) {
     return 4;
   }
   for (size_t i = 0; i < kNumKinds; ++i) {
-    if (!CheckAnswer(kKinds[i], golden_answers[i], reference[kKinds[i]])) {
+    if (!CheckAnswer(kKinds[i], golden_answers[i], reference)) {
       return 3;
     }
   }
@@ -277,7 +207,7 @@ int Run(const Options& opts) {
   chaos_opts.retry.max_attempts = 10;
 
   const size_t total = static_cast<size_t>(opts.clients) * opts.per_client;
-  std::vector<Answer> answers(total);
+  std::vector<plan::TpchQueryResult> answers(total);
   std::vector<std::string> kinds(total);
 
   core::QueryScheduler scheduler(chaos_opts);
@@ -332,14 +262,14 @@ int Run(const Options& opts) {
 
   bool answers_ok = true;
   for (size_t i = 0; i < total; ++i) {
-    if (!CheckAnswer(kinds[i], answers[i], reference[kinds[i]])) {
+    if (!CheckAnswer(kinds[i], answers[i], reference)) {
       answers_ok = false;
     }
   }
 
   // Post-storm fault-free pass must reproduce the golden timeline exactly:
   // fault handling may not leave residue in the cost model.
-  std::vector<Answer> post_answers;
+  std::vector<plan::TpchQueryResult> post_answers;
   const std::map<std::string, uint64_t> post =
       golden_pass("post-chaos", &post_answers);
   bool golden_ok = true;

@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
@@ -19,6 +20,8 @@
 #include "backends/backends.h"
 #include "core/backend.h"
 #include "core/registry.h"
+#include "plan/prepared.h"
+#include "plan/query_spec.h"
 #include "storage/device_column.h"
 
 namespace bench {
@@ -96,6 +99,58 @@ inline storage::DeviceColumn Upload(core::Backend& backend,
 inline storage::DeviceColumn Upload(core::Backend& backend,
                                     const std::vector<double>& v) {
   return storage::UploadColumn(backend.stream(), storage::Column(v));
+}
+
+/// Times one TPC-H query on a fresh backend `name`: the query registry's plan
+/// for `shape`, pinned to that backend, over `host` made resident (raw) on
+/// the backend's stream. With `nested_loops` every join is forced onto
+/// nested loops before the plan is optimized: the libraries' join
+/// realization, run by any backend. One warm-up run fills program caches;
+/// each iteration is then one measured Region. Returns the last answer;
+/// `upload_ms`, when set, receives the simulated upload time.
+inline plan::TpchQueryResult TimeTpchQuery(benchmark::State& state,
+                                           const std::string& name,
+                                           const plan::QueryShape& shape,
+                                           const plan::TpchHostTables& host,
+                                           bool nested_loops = false,
+                                           double* upload_ms = nullptr) {
+  auto backend = core::BackendRegistry::Instance().Create(name);
+  const uint64_t upload_start_ns = backend->stream().now_ns();
+  const std::shared_ptr<const plan::ResidentTpchTables> resident =
+      plan::MakeResident(backend->stream(), host, /*use_encoding=*/false);
+  if (upload_ms != nullptr) {
+    *upload_ms = (backend->stream().now_ns() - upload_start_ns) / 1e6;
+  }
+  std::function<plan::TpchQueryResult()> run;
+  if (nested_loops) {
+    auto bundle = std::make_shared<plan::QueryPlanBundle>(
+        plan::GetQuerySpec(shape.query)
+            .build({&resident->lineitem, &resident->orders,
+                    &resident->customer, &resident->part},
+                   shape));
+    for (plan::PlanNode& node : bundle->plan.nodes) {
+      if (node.kind == plan::NodeKind::kJoin) {
+        node.join_algo = plan::JoinAlgo::kNestedLoops;
+      }
+    }
+    plan::OptimizerOptions pin;
+    pin.pin_backend = name;
+    run = [&, bundle, phys = plan::Optimize(bundle->plan, pin)] {
+      return plan::ExtractResult(shape.query, *bundle,
+                                 plan::RunPinned(phys, *backend), shape);
+    };
+  } else {
+    run = [&, prepared = plan::PrepareTpchQuery(shape, resident, name)] {
+      return prepared->Run(*backend);
+    };
+  }
+  plan::TpchQueryResult result = run();  // warm program caches
+  for (auto _ : state) {
+    Region region(*backend);
+    result = run();
+    region.Stop(state);
+  }
+  return result;
 }
 
 /// Standard main: register built-ins, then run.

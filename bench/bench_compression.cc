@@ -2,19 +2,18 @@
 //
 // For every query in the sweep this binary runs the same workload twice —
 // once with raw uploads (storage::UploadTable) and once with automatic
-// per-column encoding (storage::UploadTableEncoded) — on a fresh backend
-// instance each time, and reports per column the chosen encoding and
-// compression ratio, per query the transfer bytes saved and the end-to-end
-// simulated speedup, across a scale-factor sweep. Q1 and Q6 go through the
-// hand-coded operator chains (tpch/queries.h), whose hot paths evaluate
-// predicates in the encoded domain; Q3/Q4/Q14 go through the plan path
-// pinned to the same backend.
+// per-column encoding (storage::UploadTableEncoded) — through the one-shot
+// governed runner (plan::RunGoverned: upload, plan pinned to the backend,
+// run) on a fresh backend instance each time, and reports per column the
+// chosen encoding and compression ratio, per query the transfer bytes saved
+// and the end-to-end simulated speedup, across a scale-factor sweep.
 //
 // Not a google-benchmark binary: like bench_pressure it doubles as the CI
 // acceptance gate for the storage/encoding layer. The process exits
-// non-zero when an encoded-path answer diverges from the raw-path answer
-// (exact for integers and counts, 1e-9 relative for re-associated float
-// sums) or when a dictionary/RLE-encoded column compresses worse than 1.0x.
+// non-zero when a raw-path or encoded-path answer diverges from the host
+// reference or the encoded answer from the raw one (exact for integers and
+// counts, 1e-9 relative for re-associated float sums), or when a
+// dictionary/RLE-encoded column compresses worse than 1.0x.
 //
 // Usage:
 //   bench_compression [--backend=Handwritten] [--queries=q1,q3,q4,q6,q14]
@@ -32,13 +31,10 @@
 #include "backends/backends.h"
 #include "core/metrics.h"
 #include "core/registry.h"
-#include "plan/executor.h"
-#include "plan/optimizer.h"
-#include "plan/query_spec.h"
+#include "plan/partition.h"
 #include "storage/encoded_column.h"
 #include "storage/encoding.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
 #include "tpch_verify.h"
 
 namespace {
@@ -127,54 +123,25 @@ void ReportTable(const std::string& name, const storage::Table& table,
 // Raw vs encoded query runs
 // ---------------------------------------------------------------------------
 
-struct HostTables {
-  storage::Table lineitem, orders, customer, part;
-};
-
-/// Uploads what the query needs (raw or encoded) and runs it end to end on
-/// one fresh backend, measuring the whole region on the backend's stream.
-plan::TpchQueryResult RunOnce(const std::string& query,
+/// Runs `query` end to end through the governed runner on one fresh
+/// backend, uploading raw or encoded, and measures the whole region on the
+/// backend's stream.
+plan::TpchQueryResult RunOnce(plan::TpchQuery query,
                               const std::string& backend_name,
-                              const HostTables& host, bool encoded,
+                              const plan::TpchHostTables& host, bool encoded,
                               core::Measurement* m) {
   std::unique_ptr<core::Backend> backend =
       core::BackendRegistry::Instance().Create(backend_name);
-  gpusim::Stream& stream = backend->stream();
-  const auto upload = [&](const storage::Table& t) {
-    return encoded ? storage::UploadTableEncoded(stream, t)
-                   : storage::UploadTable(stream, t);
-  };
-  core::ScopedMeasurement sm(stream, query + (encoded ? "/enc" : "/raw"));
-  plan::TpchQueryResult out;
-  if (query == "q1") {
-    const storage::DeviceTable lineitem = upload(host.lineitem);
-    out.q1 = tpch::RunQ1(*backend, lineitem);
-  } else if (query == "q6") {
-    const storage::DeviceTable lineitem = upload(host.lineitem);
-    out.scalar = tpch::RunQ6(*backend, lineitem);
-  } else {
-    // The join queries run as plans pinned to the same backend.
-    const plan::TpchQuery q = plan::ParseTpchQuery(query);
-    const plan::QuerySpec& spec = plan::GetQuerySpec(q);
-    const plan::PerTable<const storage::Table*> host_tables{
-        &host.lineitem, &host.orders, &host.customer, &host.part};
-    plan::PerTable<storage::DeviceTable> dev;
-    plan::DeviceTables tables{};
-    for (const plan::TpchTable t : plan::TablesRead(spec)) {
-      const size_t i = static_cast<size_t>(t);
-      dev[i] = upload(*host_tables[i]);
-      tables[i] = &dev[i];
-    }
-    const plan::QueryPlanBundle bundle = spec.build(tables, plan::QueryShape());
-    plan::OptimizerOptions options;
-    options.pin_backend = backend_name;
-    const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, options);
-    out = plan::ExtractResult(q, bundle, plan::RunPinned(phys, *backend));
-  }
+  core::ScopedMeasurement sm(backend->stream(),
+                             std::string(plan::TpchQueryName(query)) +
+                                 (encoded ? "/enc" : "/raw"));
+  plan::GovernedQueryOptions options;
+  options.use_encoding = encoded;
+  const plan::TpchQueryResult out =
+      plan::RunGoverned(query, host, *backend, options);
   *m = sm.Stop();
   return out;
 }
-
 
 struct QueryPoint {
   double scale_factor = 0;
@@ -207,19 +174,20 @@ int Run(const Options& opts) {
     const double sf = opts.scale_factors[si];
     tpch::Config config;
     config.scale_factor = sf;
-    HostTables host;
-    host.lineitem = tpch::GenerateLineitem(config);
-    host.orders = tpch::GenerateOrders(config);
-    host.customer = tpch::GenerateCustomer(config);
-    host.part = tpch::GeneratePart(config);
+    const storage::Table lineitem = tpch::GenerateLineitem(config);
+    const storage::Table orders = tpch::GenerateOrders(config);
+    const storage::Table customer = tpch::GenerateCustomer(config);
+    const storage::Table part = tpch::GeneratePart(config);
+    const plan::TpchHostTables host{&lineitem, &orders, &customer, &part};
+    const bench::References reference(host);
 
     // Per-column encoding selection (the dict/RLE >= 1.0x gate runs at every
     // scale factor; the printed/JSON column table is the largest one).
     std::vector<ColumnReport> cols;
-    ReportTable("lineitem", host.lineitem, &cols);
-    ReportTable("orders", host.orders, &cols);
-    ReportTable("customer", host.customer, &cols);
-    ReportTable("part", host.part, &cols);
+    ReportTable("lineitem", lineitem, &cols);
+    ReportTable("orders", orders, &cols);
+    ReportTable("customer", customer, &cols);
+    ReportTable("part", part, &cols);
     for (const ColumnReport& c : cols) {
       if ((c.encoding == storage::Encoding::kDictionary ||
            c.encoding == storage::Encoding::kRle) &&
@@ -233,16 +201,21 @@ int Run(const Options& opts) {
     }
     if (si + 1 == opts.scale_factors.size()) columns = cols;
 
-    std::printf("sf=%g rows(lineitem)=%zu\n", sf, host.lineitem.num_rows());
+    std::printf("sf=%g rows(lineitem)=%zu\n", sf, lineitem.num_rows());
     std::printf("%6s %12s %12s %9s %12s %12s %12s %7s\n", "query", "raw_ms",
                 "enc_ms", "speedup", "raw_h2d", "enc_h2d", "saved", "match");
 
     for (const std::string& query : opts.queries) {
+      const plan::TpchQuery q = plan::ParseTpchQuery(query);
       core::Measurement raw_m, enc_m;
-      const plan::TpchQueryResult raw = RunOnce(query, opts.backend, host, false, &raw_m);
-      const plan::TpchQueryResult enc = RunOnce(query, opts.backend, host, true, &enc_m);
+      const plan::TpchQueryResult raw =
+          RunOnce(q, opts.backend, host, false, &raw_m);
+      const plan::TpchQueryResult enc =
+          RunOnce(q, opts.backend, host, true, &enc_m);
       std::string why;
-      const bool match = bench::SameResult(enc, raw, &why);
+      const bool match = bench::Verify(q, raw, reference, &why) &&
+                         bench::Verify(q, enc, reference, &why) &&
+                         bench::SameResult(enc, raw, &why);
       if (!match) {
         all_match = false;
         std::fprintf(stderr, "  DIVERGED sf=%g %s: %s\n", sf, query.c_str(),
@@ -289,7 +262,8 @@ int Run(const Options& opts) {
               total_enc == 0 ? 1.0
                              : static_cast<double>(total_raw) / total_enc);
 
-  std::printf("\nencoded answers match raw answers: %s\n",
+  std::printf("\nraw and encoded answers match the host reference and "
+              "each other: %s\n",
               all_match ? "OK" : "FAILED");
   std::printf("dictionary/RLE columns compress >= 1.0x: %s\n",
               ratios_ok ? "OK" : "FAILED");

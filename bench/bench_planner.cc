@@ -1,13 +1,13 @@
 // Hybrid plan dispatch vs the best single backend, per TPC-H query.
 //
-// For every query this bench runs the hand-coded operator chain on each
-// candidate backend, replays the same query as a *pinned* plan (checking the
-// plan reproduces the hand-coded answer AND charges a bit-identical
-// simulated timeline — the executor's golden property), then runs the
-// cost-dispatched hybrid plan and reports its speedup over the best single
-// backend. The process exits non-zero if any plan answer diverges from the
-// hand-coded one, any pinned timeline is not bit-identical, or the hybrid
-// plan is slower than the best single backend on any query.
+// For every query this bench runs the registry's plan pinned to each
+// candidate backend (the backend's own chain of operator calls) over
+// device-resident tables, then runs the cost-dispatched hybrid plan and
+// reports its speedup over the best single backend. Every answer is checked
+// against the host reference. The process exits non-zero if any answer
+// diverges from the reference or the hybrid plan is slower than the best
+// single backend on any query. (tests/query_golden_test.cc pins each
+// pinned plan's simulated time to the recorded call chain exactly.)
 //
 // Not a google-benchmark binary: the unit of work is a whole optimize +
 // execute cycle and the pass/fail verdict needs cross-backend state, so it
@@ -28,10 +28,9 @@
 #include "core/registry.h"
 #include "plan/executor.h"
 #include "plan/optimizer.h"
+#include "plan/prepared.h"
 #include "plan/query_spec.h"
-#include "storage/device_column.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
 #include "tpch_verify.h"
 
 namespace {
@@ -83,10 +82,8 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
 
 struct BackendRun {
   std::string name;
-  uint64_t hand_ns = 0;
   uint64_t plan_ns = 0;
   bool answers_match = false;
-  bool ns_identical = false;
 };
 
 struct QueryVerdict {
@@ -111,35 +108,19 @@ int Run(const Options& opts) {
 
   // Upload once on a setup stream; every measured run only reads the
   // device-resident tables.
+  const plan::TpchHostTables host{&h_lineitem, &h_orders, &h_customer,
+                                  &h_part};
   gpusim::Stream setup(gpusim::Device::Default(), gpusim::ApiProfile::Cuda());
-  const storage::DeviceTable lineitem = storage::UploadTable(setup, h_lineitem);
-  const storage::DeviceTable orders = storage::UploadTable(setup, h_orders);
-  const storage::DeviceTable customer =
-      storage::UploadTable(setup, h_customer);
-  const storage::DeviceTable part = storage::UploadTable(setup, h_part);
-
-  const auto run_hand = [&](const std::string& q,
-                            core::Backend& b) -> plan::TpchQueryResult {
-    plan::TpchQueryResult a;
-    if (q == "q1") {
-      a.q1 = tpch::RunQ1(b, lineitem);
-    } else if (q == "q6") {
-      a.scalar = tpch::RunQ6(b, lineitem);
-    } else if (q == "q3") {
-      a.q3 = tpch::RunQ3(b, customer, orders, lineitem);
-    } else if (q == "q4") {
-      a.q4 = tpch::RunQ4(b, orders, lineitem);
-    } else if (q == "q14") {
-      a.scalar = tpch::RunQ14(b, part, lineitem);
-    }
-    return a;
-  };
-  const plan::DeviceTables device_tables{&lineitem, &orders, &customer, &part};
+  const auto resident =
+      plan::MakeResident(setup, host, /*use_encoding=*/false);
+  const plan::DeviceTables device_tables{&resident->lineitem, &resident->orders,
+                                         &resident->customer, &resident->part};
+  const bench::References reference(host);
 
   std::printf("bench_planner: sf=%g rows(lineitem)=%zu\n\n",
               opts.scale_factor, h_lineitem.num_rows());
-  std::printf("%-4s %-14s %12s %12s %7s %10s\n", "qry", "backend", "hand_ns",
-              "plan_ns", "match", "identical");
+  std::printf("%-4s %-14s %12s %7s\n", "qry", "backend", "plan_ns",
+              "match");
 
   bool ok = true;
   bool join_strict_win = false;
@@ -157,14 +138,8 @@ int Run(const Options& opts) {
       BackendRun r;
       r.name = name;
 
-      // Hand-coded chain on a fresh backend instance (so OpenCL-style
-      // program compiles are charged the same way in both runs).
-      auto hand_backend = registry.Create(name);
-      const uint64_t t0 = hand_backend->stream().now_ns();
-      const plan::TpchQueryResult hand = run_hand(q, *hand_backend);
-      r.hand_ns = hand_backend->stream().now_ns() - t0;
-
-      // Same query as a plan, pinned to the same backend.
+      // The plan pinned to the backend, on a fresh backend instance (so
+      // OpenCL-style program compiles are charged the same way every run).
       plan::OptimizerOptions pin_opts;
       pin_opts.pin_backend = name;
       const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, pin_opts);
@@ -172,40 +147,39 @@ int Run(const Options& opts) {
       const plan::ExecutionResult res = plan::RunPinned(phys, *plan_backend);
       r.plan_ns = res.total_ns;
       std::string why;
-      r.answers_match =
-          bench::SameResult(plan::ExtractResult(query, bundle, res), hand, &why);
-      r.ns_identical = r.plan_ns == r.hand_ns;
-      if (!r.answers_match || !r.ns_identical) ok = false;
-
-      if (v.best_backend.empty() || r.hand_ns < v.best_ns) {
-        v.best_backend = name;
-        v.best_ns = r.hand_ns;
+      r.answers_match = bench::Verify(
+          query, plan::ExtractResult(query, bundle, res), reference, &why);
+      if (!r.answers_match) {
+        ok = false;
+        std::fprintf(stderr, "WRONG ANSWER: %s on %s\n", why.c_str(),
+                     name.c_str());
       }
-      std::printf("%-4s %-14s %12llu %12llu %7s %10s\n", q.c_str(),
-                  name.c_str(), static_cast<unsigned long long>(r.hand_ns),
+
+      if (v.best_backend.empty() || r.plan_ns < v.best_ns) {
+        v.best_backend = name;
+        v.best_ns = r.plan_ns;
+      }
+      std::printf("%-4s %-14s %12llu %7s\n", q.c_str(), name.c_str(),
                   static_cast<unsigned long long>(r.plan_ns),
-                  r.answers_match ? "yes" : "NO",
-                  r.ns_identical ? "yes" : "NO");
+                  r.answers_match ? "yes" : "NO");
       v.runs.push_back(r);
     }
 
-    // Cost-dispatched hybrid plan against the hand-coded golden answer
-    // (the first backend's — all matched each other above).
+    // Cost-dispatched hybrid plan against the same host reference.
     const plan::PhysicalPlan phys =
         plan::Optimize(bundle.plan, plan::OptimizerOptions());
     const plan::ExecutionResult res = plan::RunHybrid(phys);
     v.hybrid_ns = res.total_ns;
-    auto golden_backend = registry.Create(opts.backends.front());
     std::string why;
-    v.hybrid_match = bench::SameResult(plan::ExtractResult(query, bundle, res),
-                                       run_hand(q, *golden_backend), &why);
+    v.hybrid_match = bench::Verify(
+        query, plan::ExtractResult(query, bundle, res), reference, &why);
     v.hybrid_le_best = v.hybrid_ns <= v.best_ns;
     if (!v.hybrid_match || !v.hybrid_le_best) ok = false;
     const bool join_query = q == "q3" || q == "q4" || q == "q14";
     if (join_query && v.hybrid_ns < v.best_ns) join_strict_win = true;
 
-    std::printf("%-4s %-14s %12s %12llu %7s %10s  (best %s %llu, %.2fx)\n\n",
-                q.c_str(), "Hybrid", "-",
+    std::printf("%-4s %-14s %12llu %7s %10s  (best %s %llu, %.2fx)\n\n",
+                q.c_str(), "Hybrid",
                 static_cast<unsigned long long>(v.hybrid_ns),
                 v.hybrid_match ? "yes" : "NO",
                 v.hybrid_le_best ? "<=best" : "SLOWER", v.best_backend.c_str(),
@@ -233,10 +207,8 @@ int Run(const Options& opts) {
       for (size_t j = 0; j < v.runs.size(); ++j) {
         const BackendRun& r = v.runs[j];
         out << (j ? ", " : "") << "{\"name\": \"" << r.name
-            << "\", \"hand_ns\": " << r.hand_ns
-            << ", \"plan_ns\": " << r.plan_ns << ", \"answers_match\": "
-            << (r.answers_match ? "true" : "false") << ", \"ns_identical\": "
-            << (r.ns_identical ? "true" : "false") << "}";
+            << "\", \"plan_ns\": " << r.plan_ns << ", \"answers_match\": "
+            << (r.answers_match ? "true" : "false") << "}";
       }
       out << "], \"best_backend\": \"" << v.best_backend
           << "\", \"best_ns\": " << v.best_ns

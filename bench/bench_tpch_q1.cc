@@ -10,24 +10,15 @@
 namespace bench {
 
 void Q1Bench(benchmark::State& state, const std::string& name) {
-  const double sf = state.range(0) / 1000.0;
   tpch::Config config;
-  config.scale_factor = sf;
+  config.scale_factor = state.range(0) / 1000.0;
   const storage::Table lineitem = tpch::GenerateLineitem(config);
-  auto backend = core::BackendRegistry::Instance().Create(name);
-  const storage::DeviceTable dev =
-      storage::UploadTable(backend->stream(), lineitem);
-
-  tpch::RunQ1(*backend, dev);  // warm program cache
-  size_t groups = 0;
-  for (auto _ : state) {
-    Region region(*backend);
-    const auto rows = tpch::RunQ1(*backend, dev);
-    region.Stop(state);
-    groups = rows.size();
-  }
+  plan::QueryShape shape;
+  shape.query = plan::TpchQuery::kQ1;
+  const plan::TpchQueryResult result =
+      TimeTpchQuery(state, name, shape, {.lineitem = &lineitem});
   state.counters["rows"] = static_cast<double>(lineitem.num_rows());
-  state.counters["result_groups"] = static_cast<double>(groups);
+  state.counters["result_groups"] = static_cast<double>(result.q1.size());
 }
 
 void RegisterBenchmarks() {

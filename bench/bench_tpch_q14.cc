@@ -6,39 +6,30 @@
 namespace bench {
 
 void Q14Bench(benchmark::State& state, const std::string& name,
-              tpch::JoinStrategy strategy) {
+              bool nested_loops) {
   tpch::Config config;
   config.scale_factor = state.range(0) / 1000.0;
   const storage::Table lineitem = tpch::GenerateLineitem(config);
   const storage::Table part = tpch::GeneratePart(config);
-  auto backend = core::BackendRegistry::Instance().Create(name);
-  const auto dev_li = storage::UploadTable(backend->stream(), lineitem);
-  const auto dev_part = storage::UploadTable(backend->stream(), part);
-
-  tpch::RunQ14(*backend, dev_part, dev_li, tpch::Q14Params(),
-               strategy);  // warm
-  double pct = 0;
-  for (auto _ : state) {
-    Region region(*backend);
-    pct = tpch::RunQ14(*backend, dev_part, dev_li, tpch::Q14Params(),
-                       strategy);
-    region.Stop(state);
-  }
-  state.counters["promo_pct"] = pct;
+  plan::QueryShape shape;
+  shape.query = plan::TpchQuery::kQ14;
+  const plan::TpchQueryResult result = TimeTpchQuery(
+      state, name, shape, {.lineitem = &lineitem, .part = &part},
+      nested_loops);
+  state.counters["promo_pct"] = result.scalar;
   state.counters["lineitem_rows"] = static_cast<double>(lineitem.num_rows());
 }
 
 void RegisterBenchmarks() {
   for (const auto& name : AllBackendNames()) {
     auto* b = benchmark::RegisterBenchmark(
-        ("TpchQ14/" + name).c_str(), [name](benchmark::State& s) {
-          Q14Bench(s, name, tpch::JoinStrategy::kAuto);
-        });
+        ("TpchQ14/" + name).c_str(),
+        [name](benchmark::State& s) { Q14Bench(s, name, false); });
     b->UseManualTime()->Iterations(1)->Arg(10);  // SF 0.01
   }
   auto* nlj = benchmark::RegisterBenchmark(
       "TpchQ14/Handwritten-nlj", [](benchmark::State& s) {
-        Q14Bench(s, backends::kHandwritten, tpch::JoinStrategy::kNestedLoops);
+        Q14Bench(s, backends::kHandwritten, true);
       });
   nlj->UseManualTime()->Iterations(1)->Arg(10);
 }

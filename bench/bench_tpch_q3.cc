@@ -11,40 +11,32 @@
 namespace bench {
 
 void Q3Bench(benchmark::State& state, const std::string& name,
-             tpch::JoinStrategy strategy) {
+             bool nested_loops) {
   tpch::Config config;
   config.scale_factor = state.range(0) / 1000.0;
   const storage::Table lineitem = tpch::GenerateLineitem(config);
   const storage::Table orders = tpch::GenerateOrders(config);
   const storage::Table customer = tpch::GenerateCustomer(config);
-  auto backend = core::BackendRegistry::Instance().Create(name);
-  const auto dev_li = storage::UploadTable(backend->stream(), lineitem);
-  const auto dev_ord = storage::UploadTable(backend->stream(), orders);
-  const auto dev_cust = storage::UploadTable(backend->stream(), customer);
-
-  tpch::RunQ3(*backend, dev_cust, dev_ord, dev_li, tpch::Q3Params(),
-              strategy);  // warm
-  for (auto _ : state) {
-    Region region(*backend);
-    benchmark::DoNotOptimize(tpch::RunQ3(*backend, dev_cust, dev_ord, dev_li,
-                                         tpch::Q3Params(), strategy));
-    region.Stop(state);
-  }
+  plan::QueryShape shape;
+  shape.query = plan::TpchQuery::kQ3;
+  TimeTpchQuery(state, name, shape,
+                {.lineitem = &lineitem, .orders = &orders,
+                 .customer = &customer},
+                nested_loops);
   state.counters["lineitem_rows"] = static_cast<double>(lineitem.num_rows());
 }
 
 void RegisterBenchmarks() {
   for (const auto& name : AllBackendNames()) {
     auto* b = benchmark::RegisterBenchmark(
-        ("TpchQ3/" + name).c_str(), [name](benchmark::State& s) {
-          Q3Bench(s, name, tpch::JoinStrategy::kAuto);
-        });
+        ("TpchQ3/" + name).c_str(),
+        [name](benchmark::State& s) { Q3Bench(s, name, false); });
     b->UseManualTime()->Iterations(1)->Arg(10);  // SF 0.01
   }
   // Ablation: the handwritten kernels forced onto the libraries' join.
   auto* nlj = benchmark::RegisterBenchmark(
       "TpchQ3/Handwritten-nlj", [](benchmark::State& s) {
-        Q3Bench(s, backends::kHandwritten, tpch::JoinStrategy::kNestedLoops);
+        Q3Bench(s, backends::kHandwritten, true);
       });
   nlj->UseManualTime()->Iterations(1)->Arg(10);
 }

@@ -8,36 +8,28 @@
 namespace bench {
 
 void Q4Bench(benchmark::State& state, const std::string& name,
-             tpch::JoinStrategy strategy) {
+             bool nested_loops) {
   tpch::Config config;
   config.scale_factor = state.range(0) / 1000.0;
   const storage::Table lineitem = tpch::GenerateLineitem(config);
   const storage::Table orders = tpch::GenerateOrders(config);
-  auto backend = core::BackendRegistry::Instance().Create(name);
-  const auto dev_li = storage::UploadTable(backend->stream(), lineitem);
-  const auto dev_ord = storage::UploadTable(backend->stream(), orders);
-
-  tpch::RunQ4(*backend, dev_ord, dev_li, tpch::Q4Params(), strategy);  // warm
-  for (auto _ : state) {
-    Region region(*backend);
-    benchmark::DoNotOptimize(
-        tpch::RunQ4(*backend, dev_ord, dev_li, tpch::Q4Params(), strategy));
-    region.Stop(state);
-  }
+  plan::QueryShape shape;
+  shape.query = plan::TpchQuery::kQ4;
+  TimeTpchQuery(state, name, shape,
+                {.lineitem = &lineitem, .orders = &orders}, nested_loops);
   state.counters["lineitem_rows"] = static_cast<double>(lineitem.num_rows());
 }
 
 void RegisterBenchmarks() {
   for (const auto& name : AllBackendNames()) {
     auto* b = benchmark::RegisterBenchmark(
-        ("TpchQ4/" + name).c_str(), [name](benchmark::State& s) {
-          Q4Bench(s, name, tpch::JoinStrategy::kAuto);
-        });
+        ("TpchQ4/" + name).c_str(),
+        [name](benchmark::State& s) { Q4Bench(s, name, false); });
     b->UseManualTime()->Iterations(1)->Arg(10);  // SF 0.01
   }
   auto* nlj = benchmark::RegisterBenchmark(
       "TpchQ4/Handwritten-nlj", [](benchmark::State& s) {
-        Q4Bench(s, backends::kHandwritten, tpch::JoinStrategy::kNestedLoops);
+        Q4Bench(s, backends::kHandwritten, true);
       });
   nlj->UseManualTime()->Iterations(1)->Arg(10);
 }

@@ -11,28 +11,18 @@
 namespace bench {
 
 void Q6Bench(benchmark::State& state, const std::string& name) {
-  const double sf = state.range(0) / 1000.0;
   tpch::Config config;
-  config.scale_factor = sf;
+  config.scale_factor = state.range(0) / 1000.0;
   const storage::Table lineitem = tpch::GenerateLineitem(config);
-  auto backend = core::BackendRegistry::Instance().Create(name);
-
-  const uint64_t upload_start_ns = backend->stream().now_ns();
-  const storage::DeviceTable dev =
-      storage::UploadTable(backend->stream(), lineitem);
-  const double upload_ms =
-      (backend->stream().now_ns() - upload_start_ns) / 1e6;
-
-  tpch::RunQ6(*backend, dev);  // warm program cache
-  double revenue = 0;
-  for (auto _ : state) {
-    Region region(*backend);
-    revenue = tpch::RunQ6(*backend, dev);
-    region.Stop(state);
-  }
+  plan::QueryShape shape;
+  shape.query = plan::TpchQuery::kQ6;
+  double upload_ms = 0;
+  const plan::TpchQueryResult result =
+      TimeTpchQuery(state, name, shape, {.lineitem = &lineitem},
+                    /*nested_loops=*/false, &upload_ms);
   state.counters["rows"] = static_cast<double>(lineitem.num_rows());
   state.counters["upload_ms"] = upload_ms;
-  state.counters["revenue"] = revenue;
+  state.counters["revenue"] = result.scalar;
 }
 
 /// The expert upper bound: the entire query body as one fused kernel.

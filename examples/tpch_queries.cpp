@@ -1,6 +1,6 @@
-// Runs TPC-H Q1 and Q6 through every registered library backend and prints
-// per-backend results and simulated device timings — the paper's query
-// experiment as a runnable demo.
+// Runs TPC-H Q1 and Q6 through every registered library backend, each as
+// the query's plan pinned to the backend, and prints per-backend results and
+// simulated device timings — the paper's query experiment as a runnable demo.
 //
 //   build/examples/tpch_queries [scale_factor]    (default 0.01)
 #include <iomanip>
@@ -8,6 +8,7 @@
 
 #include "core/metrics.h"
 #include "core/registry.h"
+#include "plan/prepared.h"
 #include "tpch/queries.h"
 
 int main(int argc, char** argv) {
@@ -31,15 +32,20 @@ int main(int argc, char** argv) {
 
   for (const auto& name : core::BackendRegistry::Instance().Names()) {
     auto backend = core::BackendRegistry::Instance().Create(name);
-    const storage::DeviceTable dev =
-        storage::UploadTable(backend->stream(), lineitem);
+    const auto resident = plan::MakeResident(backend->stream(), {&lineitem},
+                                             /*use_encoding=*/false);
+    const auto run = [&](plan::TpchQuery query) {
+      plan::QueryShape shape;
+      shape.query = query;
+      return plan::PrepareTpchQuery(shape, resident, name)->Run(*backend);
+    };
 
     core::ScopedMeasurement q6_scope(backend->stream(), "q6");
-    const double revenue = tpch::RunQ6(*backend, dev);
+    const double revenue = run(plan::TpchQuery::kQ6).scalar;
     const auto q6 = q6_scope.Stop();
 
     core::ScopedMeasurement q1_scope(backend->stream(), "q1");
-    const auto q1_rows = tpch::RunQ1(*backend, dev);
+    const auto q1_rows = run(plan::TpchQuery::kQ1).q1;
     const auto q1 = q1_scope.Stop();
 
     const bool q6_ok = std::abs(revenue - q6_ref) < 1e-6 * std::abs(q6_ref);

@@ -1,7 +1,7 @@
 // Hybrid backend: per-operator cost-based dispatch across the four library
-// bindings, exposed through the ordinary core::Backend interface so the
-// hand-coded queries, the scheduler, and the benches can use the planner's
-// dispatch policy without being rewritten as plans.
+// bindings, exposed through the ordinary core::Backend interface so pinned
+// plans, the scheduler, and the benches can use the planner's dispatch
+// policy as one more backend.
 //
 // Every call is priced per candidate with plan::CostEstimator (actual input
 // sizes, heuristic output cardinalities) plus a boundary charge for inputs

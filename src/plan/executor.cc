@@ -401,8 +401,7 @@ class Executor {
         value.out_rows = value.pair.first.size();
         break;
       case NodeKind::kFetchGroups: {
-        // Same download order as the hand-coded queries: keys, then
-        // aggregate.
+        // Download order: keys, then aggregate.
         const core::GroupByResult& g = ValueOf(node.fetch_from.node).groups;
         gpusim::Stream& stream = backend.stream();
         const storage::Column keys = g.keys.ToHost(stream);

@@ -1,10 +1,9 @@
 // Physical-plan executor.
 //
-// Nodes run eagerly in insertion order; for a plan whose nodes mirror a
-// hand-coded query's backend-call order, a pinned run issues the *identical*
-// call sequence (including host downloads) and therefore charges a
-// bit-identical simulated timeline — the golden property
-// tests/timing_invariance_test.cc pins.
+// Nodes run eagerly in insertion order, so a pinned run issues the plan's
+// backend calls (including host downloads) in one fixed sequence and charges
+// a bit-identical simulated timeline every time — the golden property
+// tests/query_golden_test.cc pins.
 //
 // RunHybrid executes each node on its dispatched registry backend and
 // charges a device-to-device materialization transfer on the consumer's

@@ -2,10 +2,10 @@
 //
 // A Plan is a small operator DAG over device-resident table columns. Nodes
 // are stored in insertion order and the executor runs them strictly in that
-// order, so a plan whose nodes were inserted in the same order as a
-// hand-coded query's backend calls replays the *identical* call sequence —
-// the property the golden timing-equivalence tests pin (a plan pinned to one
-// backend must charge a bit-identical simulated timeline).
+// order, so a plan pinned to one backend issues one fixed call sequence: the
+// query's chain of that backend's operator calls. Its simulated timeline is
+// therefore exact and replayable, the property the golden cost table
+// (tests/query_golden_test.cc) pins.
 //
 // The optimizer (plan/optimizer.h) rewrites plans in place: merged or fused
 // nodes keep their slot (stable node ids) and consumed intermediates are
@@ -61,8 +61,8 @@ enum class MapOp {
 };
 
 /// Join algorithm; kAuto is resolved by the optimizer per assigned backend
-/// (hash when Realization(kHashJoin) != kNone, else nested loops — the same
-/// rule the hand-coded queries apply).
+/// (hash when Realization(kHashJoin) != kNone, else nested loops). Any other
+/// value is kept, which is how a plan forces the libraries' nested loops.
 enum class JoinAlgo { kAuto, kNestedLoops, kHash };
 
 /// Which output of a producer node an edge consumes.
@@ -150,8 +150,8 @@ struct PlanNode {
 
   /// Guard: when set (>= 0), the node (and transitively its consumers) is
   /// skipped unless the guard node produced a non-zero result — a group-by
-  /// with > 0 groups or a reduction with a non-zero scalar. Mirrors the
-  /// hand-coded queries' host-side early exits (Q3, Q14).
+  /// with > 0 groups or a reduction with a non-zero scalar: the queries'
+  /// host-side early exits (Q3, Q14).
   int guard = -1;
 
   /// Set by optimizer rewrites when this node's work was absorbed by another

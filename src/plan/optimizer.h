@@ -4,8 +4,8 @@
 //  1. Filter merging / predicate pushdown: adjacent conjunctive Filter nodes
 //     (chains built from single-predicate sigmas) fold into one
 //     multi-predicate node that executes as a single SelectConjunctive call —
-//     the canonical shape the hand-coded queries use, and a prerequisite for
-//     the golden timing-equivalence property of pinned plans.
+//     the canonical shape of a query's library call chain, and a
+//     prerequisite for the golden timing property of pinned plans.
 //  2. Fusion rewrites (hybrid plans only): eligible Filter->Gather->Map->
 //     Reduce chains become one handwritten fused filter+sum pass
 //     (kFusedFilterSum), and Map(mul, a, Map(+-scalar, b)) chains become one
@@ -13,7 +13,8 @@
 //     chained per-call library execution cannot.
 //  3. Join-algorithm selection: kAuto joins resolve to hash join when the
 //     assigned backend's Realization(kHashJoin) is not kNone, else nested
-//     loops — the same capability rule the hand-coded queries apply.
+//     loops. A join built with an explicit algorithm keeps it (the
+//     nested-loop ablations force the libraries' join this way).
 //  4. Cost-based backend dispatch: each node is assigned the candidate
 //     backend minimizing estimated operator cost plus boundary
 //     materialization cost (a priced device-to-device copy for every input
@@ -37,8 +38,8 @@ struct OptimizerOptions {
   /// Empty selects hybrid per-operator dispatch over `candidates`.
   std::string pin_backend;
 
-  /// Fusion rewrites; only applied in hybrid mode (a pinned plan must replay
-  /// the hand-coded call sequence verbatim).
+  /// Fusion rewrites; only applied in hybrid mode (a pinned plan must issue
+  /// its backend's call chain verbatim).
   bool enable_fusion = true;
 
   /// Dispatch candidates in preference (tie-break) order.

@@ -388,8 +388,6 @@ void RunSlices(const QuerySpec& spec, const TpchHostTables& tables,
   PerTable<storage::DeviceTable> build_sides;
   DeviceTables dev{};
   uint64_t build_bytes = 0;
-  // Encoded uploads add to `bytes` where raw ones overwrite it, so with
-  // encoding on a later build side also re-counts the earlier ones.
   uint64_t bytes = 0;
   for (const TpchTable t : spec.broadcast) {
     const size_t i = static_cast<size_t>(t);

@@ -62,7 +62,7 @@ QueryPlanBundle BuildQ6Plan(const storage::DeviceTable& lineitem,
   const int s_price = p.Scan("lineitem", "l_extendedprice", lineitem);
 
   // Five chained single-predicate sigmas; the optimizer folds them into one
-  // SelectConjunctive (same column/predicate order as the hand-coded query).
+  // SelectConjunctive in this column/predicate order.
   const int f1 = p.Filter(
       V(s_ship), Predicate::Make("l_shipdate", CompareOp::kGe,
                                  static_cast<double>(params.date_lo)));
@@ -217,7 +217,7 @@ QueryPlanBundle BuildQ14Plan(const storage::DeviceTable& part,
 
   const int f_promo = p.Filter(
       V(g_promo), Predicate::Make("p_promo", CompareOp::kEq, 1.0));
-  p.nodes[f_promo].guard = r_total;  // hand-coded: if (total == 0) return 0
+  p.nodes[f_promo].guard = r_total;  // if (total == 0) return 0
   const int g_revp = p.Gather(V(g_revm), Rows(f_promo), "revenue[promo]");
   b.marks["total"] = r_total;
   b.marks["promo"] = p.Reduce(V(g_revp), AggOp::kSum, "promo revenue");

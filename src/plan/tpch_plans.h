@@ -1,10 +1,11 @@
 // TPC-H queries expressed as logical plans.
 //
-// Each builder inserts nodes in the exact order the hand-coded query
-// (tpch/queries.h) issues backend calls, so a plan pinned to one backend
-// replays the identical call sequence — and charges a bit-identical
-// simulated timeline. A builder marks the terminal nodes its answer is read
-// from (Reduce, FetchGroups, FetchPair); the query registry
+// Each builder is the one description of its query. It inserts nodes in the
+// order of the query's chain of backend calls, so a plan pinned to one
+// backend issues exactly that backend's chain — the paper's execution model
+// — and charges a bit-identical simulated timeline, which the golden table
+// in tests/query_golden_test.cc pins. A builder marks the terminal nodes its
+// answer is read from (Reduce, FetchGroups, FetchPair); the query registry
 // (plan/query_spec.h) turns the executed marks into a mergeable Partial and
 // the Partial into the query's result.
 #ifndef PLAN_TPCH_PLANS_H_

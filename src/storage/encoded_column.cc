@@ -141,7 +141,7 @@ DeviceTable UploadTableEncoded(gpusim::Stream& stream, const Table& table,
     bytes += device->encoded_bytes;
     out.AddEncodedColumn(names[c], std::move(device));
   }
-  if (uploaded_bytes != nullptr) *uploaded_bytes += bytes;
+  if (uploaded_bytes != nullptr) *uploaded_bytes = bytes;
   return out;
 }
 

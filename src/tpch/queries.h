@@ -1,16 +1,18 @@
-// TPC-H queries executed through the framework's Backend interface.
+// The five TPC-H queries of the paper's query experiments: their parameters,
+// result rows and host (scalar) reference implementations.
 //
-// Each query is a chain of framework operator calls — exactly the "chained
-// library calls with materialized intermediates" execution model the paper's
-// query experiments measure. Reference (host, scalar) implementations are
-// provided for correctness checks.
+// On the device, each query runs as its plan (plan/tpch_plans.h) through the
+// query registry (plan/query_spec.h). A plan pinned to one backend issues
+// that backend's chain of operator calls with materialized intermediates —
+// exactly the execution model the paper's query experiments measure. The
+// references here are what every device answer is checked against;
+// RunQ6FusedHandwritten is the expert-written upper bound.
 #ifndef TPCH_QUERIES_H_
 #define TPCH_QUERIES_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "core/backend.h"
 #include "storage/device_column.h"
 #include "tpch/datagen.h"
 
@@ -42,17 +44,6 @@ struct Q1Params {
   }
 };
 
-/// Runs Q1 on a device-resident lineitem through the backend's operators:
-/// selection, gathers, projection arithmetic, 6x grouped aggregation.
-/// Rows are returned sorted by (returnflag, linestatus). When the table
-/// uploaded encoded (storage::UploadTableEncoded) the shipdate predicate
-/// folds into the encoded domain, survivors decode during the gathers, and
-/// the group keys never decode at all (GroupByAggregateEncoded reads packed
-/// key codes directly).
-std::vector<Q1Row> RunQ1(core::Backend& backend,
-                         const storage::DeviceTable& lineitem,
-                         const Q1Params& params = Q1Params());
-
 /// Host reference implementation for verification.
 std::vector<Q1Row> ReferenceQ1(const storage::Table& lineitem,
                                const Q1Params& params = Q1Params());
@@ -70,14 +61,6 @@ struct Q6Params {
   double quantity_hi = 24.0;
 };
 
-/// Runs Q6 through the backend's operators: conjunctive selection (5
-/// predicates), 2x gather, product, reduction. Returns the revenue sum.
-/// When the table uploaded encoded, the selection compares bit-packed codes
-/// in place (no decode) and only the surviving price/discount rows
-/// materialize through GatherDecode.
-double RunQ6(core::Backend& backend, const storage::DeviceTable& lineitem,
-             const Q6Params& params = Q6Params());
-
 /// Host reference implementation for verification.
 double ReferenceQ6(const storage::Table& lineitem,
                    const Q6Params& params = Q6Params());
@@ -93,13 +76,6 @@ double RunQ6FusedHandwritten(gpusim::Stream& stream,
 // Q3: shipping priority (join-heavy)
 // ---------------------------------------------------------------------------
 
-/// Which join realization a query should ask the backend for.
-enum class JoinStrategy {
-  kAuto,         ///< hash join if the backend supports it, else nested loops
-  kNestedLoops,  ///< force the library realization
-  kHash,         ///< force hash join (throws on library backends)
-};
-
 /// One result row of Q3 (simplified: grouped by l_orderkey only; o_orderdate
 /// and o_shippriority are functionally dependent on it and omitted).
 struct Q3Row {
@@ -113,16 +89,6 @@ struct Q3Params {
   int32_t date = DaysFromDate(1995, 3, 15);
   size_t limit = 10;
 };
-
-/// Runs Q3 through the backend: two selections, a customer-orders join, an
-/// orders-lineitem join, projection arithmetic, grouped aggregation, and a
-/// sort for the top-k. The joins are where the library/handwritten gap bites.
-std::vector<Q3Row> RunQ3(core::Backend& backend,
-                         const storage::DeviceTable& customer,
-                         const storage::DeviceTable& orders,
-                         const storage::DeviceTable& lineitem,
-                         const Q3Params& params = Q3Params(),
-                         JoinStrategy strategy = JoinStrategy::kAuto);
 
 /// Host reference implementation for verification.
 std::vector<Q3Row> ReferenceQ3(const storage::Table& customer,
@@ -146,15 +112,6 @@ struct Q4Params {
   int32_t date_hi = DaysFromDate(1993, 10, 1);
 };
 
-/// Runs Q4: column-column selection (l_commitdate < l_receiptdate), key
-/// deduplication (Unique — the semi-join), a join against the filtered
-/// orders, and a grouped count. Rows are sorted by priority.
-std::vector<Q4Row> RunQ4(core::Backend& backend,
-                         const storage::DeviceTable& orders,
-                         const storage::DeviceTable& lineitem,
-                         const Q4Params& params = Q4Params(),
-                         JoinStrategy strategy = JoinStrategy::kAuto);
-
 /// Host reference implementation for verification.
 std::vector<Q4Row> ReferenceQ4(const storage::Table& orders,
                                const storage::Table& lineitem,
@@ -169,14 +126,6 @@ struct Q14Params {
   int32_t date_lo = DaysFromDate(1995, 9, 1);
   int32_t date_hi = DaysFromDate(1995, 10, 1);
 };
-
-/// Runs Q14: date selection, part-lineitem join, and the CASE-WHEN promo
-/// revenue share realized as a second selection over the joined rows.
-/// Returns promo_revenue in percent.
-double RunQ14(core::Backend& backend, const storage::DeviceTable& part,
-              const storage::DeviceTable& lineitem,
-              const Q14Params& params = Q14Params(),
-              JoinStrategy strategy = JoinStrategy::kAuto);
 
 /// Host reference implementation for verification.
 double ReferenceQ14(const storage::Table& part,

@@ -9,6 +9,7 @@
 #include "core/registry.h"
 #include "gpusim/algorithms.h"
 #include "handwritten/handwritten.h"
+#include "plan/prepared.h"
 #include "storage/device_column.h"
 #include "tpch/queries.h"
 
@@ -125,6 +126,19 @@ class BackendEdgeTest : public ::testing::TestWithParam<std::string> {
   void SetUp() override {
     backend_ = core::BackendRegistry::Instance().Create(GetParam());
   }
+
+  /// Runs `shape` as the registry's plan pinned to the test's backend, over
+  /// `lineitem` made resident on the backend's stream.
+  plan::TpchQueryResult RunOnLineitem(const plan::QueryShape& shape,
+                                      const storage::Table& lineitem) {
+    return plan::PrepareTpchQuery(
+               shape,
+               plan::MakeResident(backend_->stream(), {&lineitem},
+                                  /*use_encoding=*/false),
+               GetParam())
+        ->Run(*backend_);
+  }
+
   std::unique_ptr<core::Backend> backend_;
 };
 
@@ -207,21 +221,20 @@ TEST_P(BackendEdgeTest, Q6WithZeroSelectivityReturnsZero) {
   tpch::Config config;
   config.scale_factor = 0.001;
   const storage::Table lineitem = tpch::GenerateLineitem(config);
-  const auto dev = storage::UploadTable(backend_->stream(), lineitem);
-  tpch::Q6Params params;
-  params.quantity_hi = -1.0;  // nothing qualifies
-  EXPECT_DOUBLE_EQ(tpch::RunQ6(*backend_, dev, params), 0.0);
+  plan::QueryShape shape;
+  shape.query = plan::TpchQuery::kQ6;
+  shape.q6.quantity_hi = -1.0;  // nothing qualifies
+  EXPECT_DOUBLE_EQ(RunOnLineitem(shape, lineitem).scalar, 0.0);
 }
 
 TEST_P(BackendEdgeTest, Q1WithCutoffBeforeAllDatesIsEmpty) {
   tpch::Config config;
   config.scale_factor = 0.001;
   const storage::Table lineitem = tpch::GenerateLineitem(config);
-  const auto dev = storage::UploadTable(backend_->stream(), lineitem);
-  tpch::Q1Params params;
-  params.delta_days = 10000;  // cutoff before any shipdate
-  const auto rows = tpch::RunQ1(*backend_, dev, params);
-  EXPECT_TRUE(rows.empty());
+  plan::QueryShape shape;
+  shape.query = plan::TpchQuery::kQ1;
+  shape.q1.delta_days = 10000;  // cutoff before any shipdate
+  EXPECT_TRUE(RunOnLineitem(shape, lineitem).q1.empty());
 }
 
 }  // namespace

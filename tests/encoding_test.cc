@@ -20,12 +20,9 @@
 #include "backends/backends.h"
 #include "core/backend.h"
 #include "core/registry.h"
-#include "plan/executor.h"
-#include "plan/optimizer.h"
 #include "plan/partition.h"
 #include "plan/partition_detail.h"
-#include "plan/query_spec.h"
-#include "plan/tpch_plans.h"
+#include "plan/prepared.h"
 #include "storage/encoded_column.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
@@ -313,27 +310,21 @@ class EncodedQueryDifferentialTest
     return core::BackendRegistry::Instance().Create(GetParam());
   }
 
-  /// Runs a plan query twice on fresh backends — raw uploads vs encoded
-  /// uploads — and returns both execution results through `extract`.
-  template <typename Build, typename Extract>
-  static auto RunBoth(Build build, Extract extract) {
-    std::array<decltype(extract(std::declval<const plan::QueryPlanBundle&>(),
-                                std::declval<const plan::ExecutionResult&>())),
-               2>
-        out;
+  /// Runs `query` twice on fresh backends as the registry's plan pinned to
+  /// the test's backend: over raw resident tables, then over encoded ones.
+  static std::array<plan::TpchQueryResult, 2> RunBoth(
+      plan::TpchQuery query, const plan::TpchHostTables& host) {
+    std::array<plan::TpchQueryResult, 2> out;
     for (const bool encoded : {false, true}) {
       auto backend = MakeBackend();
-      gpusim::Stream& stream = backend->stream();
-      const auto upload = [&](const storage::Table& t) {
-        return encoded ? storage::UploadTableEncoded(stream, t)
-                       : storage::UploadTable(stream, t);
-      };
-      const plan::QueryPlanBundle bundle = build(upload);
-      plan::OptimizerOptions options;
-      options.pin_backend = GetParam();
-      const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, options);
-      const plan::ExecutionResult result = plan::RunPinned(phys, *backend);
-      out[encoded ? 1 : 0] = extract(bundle, result);
+      plan::QueryShape shape;
+      shape.query = query;
+      shape.use_encoding = encoded;
+      out[encoded ? 1 : 0] =
+          plan::PrepareTpchQuery(
+              shape, plan::MakeResident(backend->stream(), host, encoded),
+              GetParam())
+              ->Run(*backend);
     }
     return out;
   }
@@ -347,17 +338,9 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, EncodedQueryDifferentialTest,
 
 TEST_P(EncodedQueryDifferentialTest, Q1EncodedMatchesRaw) {
   const storage::Table host = tpch::GenerateLineitem(SmallConfig());
-  std::array<std::vector<tpch::Q1Row>, 2> out;
-  for (const bool encoded : {false, true}) {
-    auto backend = MakeBackend();
-    gpusim::Stream& stream = backend->stream();
-    const storage::DeviceTable lineitem =
-        encoded ? storage::UploadTableEncoded(stream, host)
-                : storage::UploadTable(stream, host);
-    out[encoded ? 1 : 0] = tpch::RunQ1(*backend, lineitem);
-  }
-  const auto& raw = out[0];
-  const auto& enc = out[1];
+  const auto out = RunBoth(plan::TpchQuery::kQ1, {&host});
+  const auto& raw = out[0].q1;
+  const auto& enc = out[1].q1;
   ASSERT_EQ(raw.size(), enc.size());
   for (size_t i = 0; i < raw.size(); ++i) {
     EXPECT_EQ(raw[i].returnflag, enc[i].returnflag);
@@ -374,18 +357,10 @@ TEST_P(EncodedQueryDifferentialTest, Q1EncodedMatchesRaw) {
 
 TEST_P(EncodedQueryDifferentialTest, Q6EncodedMatchesRaw) {
   const storage::Table host = tpch::GenerateLineitem(SmallConfig());
-  double results[2];
-  for (const bool encoded : {false, true}) {
-    auto backend = MakeBackend();
-    gpusim::Stream& stream = backend->stream();
-    const storage::DeviceTable lineitem =
-        encoded ? storage::UploadTableEncoded(stream, host)
-                : storage::UploadTable(stream, host);
-    results[encoded ? 1 : 0] = tpch::RunQ6(*backend, lineitem);
-  }
-  EXPECT_TRUE(Near(results[1], results[0]))
-      << results[0] << " vs " << results[1];
-  EXPECT_TRUE(Near(results[0], tpch::ReferenceQ6(host)));
+  const auto out = RunBoth(plan::TpchQuery::kQ6, {&host});
+  EXPECT_TRUE(Near(out[1].scalar, out[0].scalar))
+      << out[0].scalar << " vs " << out[1].scalar;
+  EXPECT_TRUE(Near(out[0].scalar, tpch::ReferenceQ6(host)));
 }
 
 TEST_P(EncodedQueryDifferentialTest, Q3EncodedMatchesRaw) {
@@ -393,22 +368,13 @@ TEST_P(EncodedQueryDifferentialTest, Q3EncodedMatchesRaw) {
   const storage::Table customer = tpch::GenerateCustomer(config);
   const storage::Table orders = tpch::GenerateOrders(config);
   const storage::Table lineitem = tpch::GenerateLineitem(config);
-  storage::DeviceTable dc, dord, dli;
-  const auto out = RunBoth(
-      [&](const auto& upload) {
-        dc = upload(customer);
-        dord = upload(orders);
-        dli = upload(lineitem);
-        return plan::BuildQ3Plan(dc, dord, dli);
-      },
-      [](const plan::QueryPlanBundle& bundle,
-         const plan::ExecutionResult& result) {
-        return plan::ExtractResult(plan::TpchQuery::kQ3, bundle, result).q3;
-      });
-  ASSERT_EQ(out[0].size(), out[1].size());
-  for (size_t i = 0; i < out[0].size(); ++i) {
-    EXPECT_EQ(out[0][i].orderkey, out[1][i].orderkey);
-    EXPECT_TRUE(Near(out[1][i].revenue, out[0][i].revenue));
+  const auto out = RunBoth(plan::TpchQuery::kQ3,
+                           {.lineitem = &lineitem, .orders = &orders,
+                            .customer = &customer});
+  ASSERT_EQ(out[0].q3.size(), out[1].q3.size());
+  for (size_t i = 0; i < out[0].q3.size(); ++i) {
+    EXPECT_EQ(out[0].q3[i].orderkey, out[1].q3[i].orderkey);
+    EXPECT_TRUE(Near(out[1].q3[i].revenue, out[0].q3[i].revenue));
   }
 }
 
@@ -416,21 +382,12 @@ TEST_P(EncodedQueryDifferentialTest, Q4EncodedMatchesRaw) {
   const tpch::Config config = SmallConfig();
   const storage::Table orders = tpch::GenerateOrders(config);
   const storage::Table lineitem = tpch::GenerateLineitem(config);
-  storage::DeviceTable dord, dli;
-  const auto out = RunBoth(
-      [&](const auto& upload) {
-        dord = upload(orders);
-        dli = upload(lineitem);
-        return plan::BuildQ4Plan(dord, dli);
-      },
-      [](const plan::QueryPlanBundle& bundle,
-         const plan::ExecutionResult& result) {
-        return plan::ExtractResult(plan::TpchQuery::kQ4, bundle, result).q4;
-      });
-  ASSERT_EQ(out[0].size(), out[1].size());
-  for (size_t i = 0; i < out[0].size(); ++i) {
-    EXPECT_EQ(out[0][i].orderpriority, out[1][i].orderpriority);
-    EXPECT_EQ(out[0][i].order_count, out[1][i].order_count);
+  const auto out = RunBoth(plan::TpchQuery::kQ4,
+                           {.lineitem = &lineitem, .orders = &orders});
+  ASSERT_EQ(out[0].q4.size(), out[1].q4.size());
+  for (size_t i = 0; i < out[0].q4.size(); ++i) {
+    EXPECT_EQ(out[0].q4[i].orderpriority, out[1].q4[i].orderpriority);
+    EXPECT_EQ(out[0].q4[i].order_count, out[1].q4[i].order_count);
   }
 }
 
@@ -438,19 +395,10 @@ TEST_P(EncodedQueryDifferentialTest, Q14EncodedMatchesRaw) {
   const tpch::Config config = SmallConfig();
   const storage::Table part = tpch::GeneratePart(config);
   const storage::Table lineitem = tpch::GenerateLineitem(config);
-  storage::DeviceTable dp, dli;
-  const auto out = RunBoth(
-      [&](const auto& upload) {
-        dp = upload(part);
-        dli = upload(lineitem);
-        return plan::BuildQ14Plan(dp, dli);
-      },
-      [](const plan::QueryPlanBundle& bundle,
-         const plan::ExecutionResult& result) {
-        return plan::ExtractResult(plan::TpchQuery::kQ14, bundle, result)
-            .scalar;
-      });
-  EXPECT_TRUE(Near(out[1], out[0])) << out[0] << " vs " << out[1];
+  const auto out = RunBoth(plan::TpchQuery::kQ14,
+                           {.lineitem = &lineitem, .part = &part});
+  EXPECT_TRUE(Near(out[1].scalar, out[0].scalar))
+      << out[0].scalar << " vs " << out[1].scalar;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 // Covers the optimizer's rewrite rules (filter-chain merging, fusion,
 // join-algorithm selection), deterministic cost-based dispatch, and the two
 // golden properties the subsystem promises: a plan pinned to one backend
-// reproduces the hand-coded query's answer AND charges a bit-identical
-// simulated timeline, and the hybrid plan is never slower than the best
-// single backend (strictly faster on a join query).
+// answers like the host reference and its per-node times add up to its
+// stream's clock (tests/query_golden_test.cc pins that clock to the
+// backend's recorded call chain), and the hybrid plan is never slower than
+// the best single backend (strictly faster on a join query).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,16 +36,19 @@ class PlanTest : public ::testing::Test {
     core::RegisterBuiltinBackends();
     tpch::Config config;
     config.scale_factor = 0.01;
+    host_ = new HostTables{
+        tpch::GenerateLineitem(config), tpch::GenerateOrders(config),
+        tpch::GenerateCustomer(config), tpch::GeneratePart(config)};
     setup_ = new gpusim::Stream(gpusim::Device::Default(),
                                 gpusim::ApiProfile::Cuda());
     lineitem_ = new storage::DeviceTable(
-        storage::UploadTable(*setup_, tpch::GenerateLineitem(config)));
+        storage::UploadTable(*setup_, host_->lineitem));
     orders_ = new storage::DeviceTable(
-        storage::UploadTable(*setup_, tpch::GenerateOrders(config)));
+        storage::UploadTable(*setup_, host_->orders));
     customer_ = new storage::DeviceTable(
-        storage::UploadTable(*setup_, tpch::GenerateCustomer(config)));
+        storage::UploadTable(*setup_, host_->customer));
     part_ = new storage::DeviceTable(
-        storage::UploadTable(*setup_, tpch::GeneratePart(config)));
+        storage::UploadTable(*setup_, host_->part));
   }
 
   static void TearDownTestSuite() {
@@ -53,8 +57,34 @@ class PlanTest : public ::testing::Test {
     delete customer_;
     delete part_;
     delete setup_;
+    delete host_;
     lineitem_ = orders_ = customer_ = part_ = nullptr;
     setup_ = nullptr;
+    host_ = nullptr;
+  }
+
+  /// Host-reference answer of `query` over the fixture's tables.
+  static plan::TpchQueryResult Reference(plan::TpchQuery query) {
+    plan::TpchQueryResult want;
+    switch (query) {
+      case plan::TpchQuery::kQ1:
+        want.q1 = tpch::ReferenceQ1(host_->lineitem);
+        break;
+      case plan::TpchQuery::kQ3:
+        want.q3 = tpch::ReferenceQ3(host_->customer, host_->orders,
+                                    host_->lineitem);
+        break;
+      case plan::TpchQuery::kQ4:
+        want.q4 = tpch::ReferenceQ4(host_->orders, host_->lineitem);
+        break;
+      case plan::TpchQuery::kQ6:
+        want.scalar = tpch::ReferenceQ6(host_->lineitem);
+        break;
+      case plan::TpchQuery::kQ14:
+        want.scalar = tpch::ReferenceQ14(host_->part, host_->lineitem);
+        break;
+    }
+    return want;
   }
 
   static size_t LiveCount(const plan::Plan& p, plan::NodeKind kind) {
@@ -73,6 +103,11 @@ class PlanTest : public ::testing::Test {
     return nullptr;
   }
 
+  struct HostTables {
+    storage::Table lineitem, orders, customer, part;
+  };
+
+  static HostTables* host_;
   static gpusim::Stream* setup_;
   static storage::DeviceTable* lineitem_;
   static storage::DeviceTable* orders_;
@@ -80,6 +115,7 @@ class PlanTest : public ::testing::Test {
   static storage::DeviceTable* part_;
 };
 
+PlanTest::HostTables* PlanTest::host_ = nullptr;
 gpusim::Stream* PlanTest::setup_ = nullptr;
 storage::DeviceTable* PlanTest::lineitem_ = nullptr;
 storage::DeviceTable* PlanTest::orders_ = nullptr;
@@ -210,121 +246,71 @@ TEST_F(PlanTest, UnknownBackendNameThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden equivalence: pinned plans replay the hand-coded queries
+// Golden properties of pinned plans
 // ---------------------------------------------------------------------------
 
 void ExpectNear(double actual, double expected) {
   EXPECT_NEAR(actual, expected, std::abs(expected) * 1e-9 + 1e-6);
 }
 
-void ExpectQ1Equal(const std::vector<tpch::Q1Row>& actual,
-                   const std::vector<tpch::Q1Row>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].returnflag, expected[i].returnflag);
-    EXPECT_EQ(actual[i].linestatus, expected[i].linestatus);
-    EXPECT_EQ(actual[i].count_order, expected[i].count_order);
-    ExpectNear(actual[i].sum_qty, expected[i].sum_qty);
-    ExpectNear(actual[i].sum_base_price, expected[i].sum_base_price);
-    ExpectNear(actual[i].sum_disc_price, expected[i].sum_disc_price);
-    ExpectNear(actual[i].sum_charge, expected[i].sum_charge);
-    ExpectNear(actual[i].avg_qty, expected[i].avg_qty);
-    ExpectNear(actual[i].avg_price, expected[i].avg_price);
-    ExpectNear(actual[i].avg_disc, expected[i].avg_disc);
+/// Compares every field of two results (fields a query does not set are
+/// empty or zero on both sides).
+void ExpectSameResult(const plan::TpchQueryResult& actual,
+                      const plan::TpchQueryResult& expected) {
+  ASSERT_EQ(actual.q1.size(), expected.q1.size());
+  for (size_t i = 0; i < actual.q1.size(); ++i) {
+    const tpch::Q1Row& a = actual.q1[i];
+    const tpch::Q1Row& e = expected.q1[i];
+    EXPECT_EQ(a.returnflag, e.returnflag);
+    EXPECT_EQ(a.linestatus, e.linestatus);
+    EXPECT_EQ(a.count_order, e.count_order);
+    ExpectNear(a.sum_qty, e.sum_qty);
+    ExpectNear(a.sum_base_price, e.sum_base_price);
+    ExpectNear(a.sum_disc_price, e.sum_disc_price);
+    ExpectNear(a.sum_charge, e.sum_charge);
+    ExpectNear(a.avg_qty, e.avg_qty);
+    ExpectNear(a.avg_price, e.avg_price);
+    ExpectNear(a.avg_disc, e.avg_disc);
   }
-}
-
-void ExpectQ3Equal(const std::vector<tpch::Q3Row>& actual,
-                   const std::vector<tpch::Q3Row>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].orderkey, expected[i].orderkey);
-    ExpectNear(actual[i].revenue, expected[i].revenue);
+  ASSERT_EQ(actual.q3.size(), expected.q3.size());
+  for (size_t i = 0; i < actual.q3.size(); ++i) {
+    EXPECT_EQ(actual.q3[i].orderkey, expected.q3[i].orderkey);
+    ExpectNear(actual.q3[i].revenue, expected.q3[i].revenue);
   }
-}
-
-void ExpectQ4Equal(const std::vector<tpch::Q4Row>& actual,
-                   const std::vector<tpch::Q4Row>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].orderpriority, expected[i].orderpriority);
-    EXPECT_EQ(actual[i].order_count, expected[i].order_count);
+  ASSERT_EQ(actual.q4.size(), expected.q4.size());
+  for (size_t i = 0; i < actual.q4.size(); ++i) {
+    EXPECT_EQ(actual.q4[i].orderpriority, expected.q4[i].orderpriority);
+    EXPECT_EQ(actual.q4[i].order_count, expected.q4[i].order_count);
   }
+  ExpectNear(actual.scalar, expected.scalar);
 }
 
 class PlanGoldenTest : public PlanTest,
                        public ::testing::WithParamInterface<const char*> {};
 
-TEST_P(PlanGoldenTest, PinnedPlanReproducesHandCodedResultsAndTimeline) {
+TEST_P(PlanGoldenTest, PinnedPlanMatchesReferenceAndChargesItsStreamClock) {
   const std::string backend_name = GetParam();
-  auto& registry = core::BackendRegistry::Instance();
-
-  const auto check = [&](const plan::QueryPlanBundle& bundle,
-                         const char* query,
-                         const auto& run_hand, const auto& compare) {
-    SCOPED_TRACE(query);
-    auto hand_backend = registry.Create(backend_name);
-    const uint64_t t0 = hand_backend->stream().now_ns();
-    const auto expected = run_hand(*hand_backend);
-    const uint64_t hand_ns = hand_backend->stream().now_ns() - t0;
-
+  const plan::DeviceTables tables{lineitem_, orders_, customer_, part_};
+  for (const plan::TpchQuery query :
+       {plan::TpchQuery::kQ1, plan::TpchQuery::kQ6, plan::TpchQuery::kQ3,
+        plan::TpchQuery::kQ4, plan::TpchQuery::kQ14}) {
+    SCOPED_TRACE(plan::TpchQueryName(query));
+    const plan::QueryPlanBundle bundle =
+        plan::GetQuerySpec(query).build(tables, plan::QueryShape());
     plan::OptimizerOptions opts;
     opts.pin_backend = backend_name;
     const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, opts);
-    auto plan_backend = registry.Create(backend_name);
-    const plan::ExecutionResult res = plan::RunPinned(phys, *plan_backend);
+    auto backend = core::BackendRegistry::Instance().Create(backend_name);
+    const uint64_t t0 = backend->stream().now_ns();
+    const plan::ExecutionResult res = plan::RunPinned(phys, *backend);
+    const uint64_t stream_ns = backend->stream().now_ns() - t0;
 
-    compare(bundle, res, expected);
-    // The golden timing property: bit-identical simulated time, not just
-    // "close".
-    EXPECT_EQ(res.total_ns, hand_ns);
-  };
-
-  check(plan::BuildQ1Plan(*lineitem_), "q1",
-        [&](core::Backend& b) { return tpch::RunQ1(b, *lineitem_); },
-        [](const plan::QueryPlanBundle& bundle,
-           const plan::ExecutionResult& res,
-           const std::vector<tpch::Q1Row>& expected) {
-          ExpectQ1Equal(
-              plan::ExtractResult(plan::TpchQuery::kQ1, bundle, res).q1,
-              expected);
-        });
-  check(plan::BuildQ6Plan(*lineitem_), "q6",
-        [&](core::Backend& b) { return tpch::RunQ6(b, *lineitem_); },
-        [](const plan::QueryPlanBundle& bundle,
-           const plan::ExecutionResult& res, double expected) {
-          ExpectNear(
-              plan::ExtractResult(plan::TpchQuery::kQ6, bundle, res).scalar,
-              expected);
-        });
-  check(plan::BuildQ3Plan(*customer_, *orders_, *lineitem_), "q3",
-        [&](core::Backend& b) {
-          return tpch::RunQ3(b, *customer_, *orders_, *lineitem_);
-        },
-        [](const plan::QueryPlanBundle& bundle,
-           const plan::ExecutionResult& res,
-           const std::vector<tpch::Q3Row>& expected) {
-          ExpectQ3Equal(
-              plan::ExtractResult(plan::TpchQuery::kQ3, bundle, res).q3,
-              expected);
-        });
-  check(plan::BuildQ4Plan(*orders_, *lineitem_), "q4",
-        [&](core::Backend& b) { return tpch::RunQ4(b, *orders_, *lineitem_); },
-        [](const plan::QueryPlanBundle& bundle,
-           const plan::ExecutionResult& res,
-           const std::vector<tpch::Q4Row>& expected) {
-          ExpectQ4Equal(
-              plan::ExtractResult(plan::TpchQuery::kQ4, bundle, res).q4,
-              expected);
-        });
-  check(plan::BuildQ14Plan(*part_, *lineitem_), "q14",
-        [&](core::Backend& b) { return tpch::RunQ14(b, *part_, *lineitem_); },
-        [](const plan::QueryPlanBundle& bundle,
-           const plan::ExecutionResult& res, double expected) {
-          ExpectNear(
-              plan::ExtractResult(plan::TpchQuery::kQ14, bundle, res).scalar,
-              expected);
-        });
+    ExpectSameResult(plan::ExtractResult(query, bundle, res),
+                     Reference(query));
+    // The per-node accounting must agree with the stream's own clock
+    // exactly, not merely closely.
+    EXPECT_EQ(res.total_ns, stream_ns);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, PlanGoldenTest,
@@ -383,10 +369,8 @@ TEST_F(PlanTest, HybridQ6MatchesReferenceAnswer) {
       plan::Optimize(bundle.plan, plan::OptimizerOptions());
   EXPECT_TRUE(phys.hybrid);
   const plan::ExecutionResult res = plan::RunHybrid(phys);
-
-  auto backend = core::BackendRegistry::Instance().Create("Handwritten");
   ExpectNear(plan::ExtractResult(plan::TpchQuery::kQ6, bundle, res).scalar,
-             tpch::RunQ6(*backend, *lineitem_));
+             Reference(plan::TpchQuery::kQ6).scalar);
 }
 
 TEST_F(PlanTest, HybridQ3MatchesReferenceAnswer) {
@@ -394,10 +378,8 @@ TEST_F(PlanTest, HybridQ3MatchesReferenceAnswer) {
       plan::BuildQ3Plan(*customer_, *orders_, *lineitem_);
   const plan::ExecutionResult res =
       plan::RunHybrid(plan::Optimize(bundle.plan, plan::OptimizerOptions()));
-
-  auto backend = core::BackendRegistry::Instance().Create("Handwritten");
-  ExpectQ3Equal(plan::ExtractResult(plan::TpchQuery::kQ3, bundle, res).q3,
-                tpch::RunQ3(*backend, *customer_, *orders_, *lineitem_));
+  ExpectSameResult(plan::ExtractResult(plan::TpchQuery::kQ3, bundle, res),
+                   Reference(plan::TpchQuery::kQ3));
 }
 
 // ---------------------------------------------------------------------------
@@ -456,9 +438,7 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
   ASSERT_TRUE(phys.hybrid);
   ASSERT_FALSE(phys.candidates.empty());
 
-  // Expected answer, computed before any fault is armed.
-  auto reference = core::BackendRegistry::Instance().Create("Handwritten");
-  const double expected = tpch::RunQ6(*reference, *lineitem_);
+  const double expected = Reference(plan::TpchQuery::kQ6).scalar;
 
   // Kill the dominant backend: every node dispatched there loses its device
   // on the first kernel and must fall back to the next candidate.

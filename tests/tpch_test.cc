@@ -1,5 +1,6 @@
 // TPC-H generator and query tests: schema shapes, value domains, and
-// backend-vs-reference equality for Q1 and Q6 across all four backends.
+// device-vs-reference equality of every query across all four backends, each
+// query run as the registry's plan pinned to the backend.
 #include "tpch/queries.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 
 #include "backends/backends.h"
 #include "core/registry.h"
+#include "plan/prepared.h"
+#include "plan/query_spec.h"
 
 namespace {
 
@@ -111,10 +114,15 @@ TEST(TpchQ6FusedTest, FusedVariantUsesFarFewerKernels) {
   const storage::Table lineitem = tpch::GenerateLineitem(config);
   core::RegisterBuiltinBackends();
   auto backend = core::BackendRegistry::Instance().Create("Handwritten");
-  const auto dev = storage::UploadTable(backend->stream(), lineitem);
+  const auto resident = plan::MakeResident(backend->stream(), {&lineitem},
+                                           /*use_encoding=*/false);
+  plan::QueryShape shape;
+  shape.query = plan::TpchQuery::kQ6;
+  const auto q6 = plan::PrepareTpchQuery(shape, resident, "Handwritten");
+  const storage::DeviceTable& dev = resident->lineitem;
 
   auto before = gpusim::Device::Default().Snapshot();
-  tpch::RunQ6(*backend, dev);
+  q6->Run(*backend);
   const auto op_chain = gpusim::Device::Default().Snapshot().Delta(before);
 
   gpusim::Stream stream(gpusim::Device::Default(),
@@ -179,26 +187,48 @@ class TpchQueryTest : public ::testing::TestWithParam<std::string> {
     lineitem_ = new storage::Table(tpch::GenerateLineitem(config_));
     orders_ = new storage::Table(tpch::GenerateOrders(config_));
     customer_ = new storage::Table(tpch::GenerateCustomer(config_));
+    part_ = new storage::Table(tpch::GeneratePart(config_));
   }
   static void TearDownTestSuite() {
     delete lineitem_;
     delete orders_;
     delete customer_;
-    lineitem_ = nullptr;
-    orders_ = nullptr;
-    customer_ = nullptr;
+    delete part_;
+    lineitem_ = orders_ = customer_ = part_ = nullptr;
+  }
+
+  void SetUp() override {
+    backend_ = core::BackendRegistry::Instance().Create(GetParam());
+    resident_ = plan::MakeResident(
+        backend_->stream(), {lineitem_, orders_, customer_, part_},
+        /*use_encoding=*/false);
+  }
+
+  static plan::QueryShape Shape(plan::TpchQuery query) {
+    plan::QueryShape shape;
+    shape.query = query;
+    return shape;
+  }
+
+  /// Runs `shape` as the registry's plan pinned to the test's backend.
+  plan::TpchQueryResult Run(const plan::QueryShape& shape) {
+    return plan::PrepareTpchQuery(shape, resident_, GetParam())->Run(*backend_);
   }
 
   static Config config_;
   static storage::Table* lineitem_;
   static storage::Table* orders_;
   static storage::Table* customer_;
+  static storage::Table* part_;
+  std::unique_ptr<core::Backend> backend_;
+  std::shared_ptr<const plan::ResidentTpchTables> resident_;
 };
 
 Config TpchQueryTest::config_;
 storage::Table* TpchQueryTest::lineitem_ = nullptr;
 storage::Table* TpchQueryTest::orders_ = nullptr;
 storage::Table* TpchQueryTest::customer_ = nullptr;
+storage::Table* TpchQueryTest::part_ = nullptr;
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, TpchQueryTest,
@@ -213,19 +243,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(TpchQueryTest, Q6MatchesReference) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const storage::DeviceTable dev =
-      storage::UploadTable(backend->stream(), *lineitem_);
-  const double got = tpch::RunQ6(*backend, dev);
+  const double got = Run(Shape(plan::TpchQuery::kQ6)).scalar;
   const double expected = tpch::ReferenceQ6(*lineitem_);
   EXPECT_NEAR(got, expected, std::abs(expected) * 1e-9 + 1e-6);
 }
 
 TEST_P(TpchQueryTest, Q1MatchesReference) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const storage::DeviceTable dev =
-      storage::UploadTable(backend->stream(), *lineitem_);
-  const auto got = tpch::RunQ1(*backend, dev);
+  const auto got = Run(Shape(plan::TpchQuery::kQ1)).q1;
   const auto expected = tpch::ReferenceQ1(*lineitem_);
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
@@ -244,11 +268,7 @@ TEST_P(TpchQueryTest, Q1MatchesReference) {
 }
 
 TEST_P(TpchQueryTest, Q3MatchesReference) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const auto dev_li = storage::UploadTable(backend->stream(), *lineitem_);
-  const auto dev_ord = storage::UploadTable(backend->stream(), *orders_);
-  const auto dev_cust = storage::UploadTable(backend->stream(), *customer_);
-  const auto got = tpch::RunQ3(*backend, dev_cust, dev_ord, dev_li);
+  const auto got = Run(Shape(plan::TpchQuery::kQ3)).q3;
   const auto expected = tpch::ReferenceQ3(*customer_, *orders_, *lineitem_);
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
@@ -259,14 +279,28 @@ TEST_P(TpchQueryTest, Q3MatchesReference) {
 }
 
 TEST_P(TpchQueryTest, Q3ForcedNestedLoopsAgreesWithAuto) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const auto dev_li = storage::UploadTable(backend->stream(), *lineitem_);
-  const auto dev_ord = storage::UploadTable(backend->stream(), *orders_);
-  const auto dev_cust = storage::UploadTable(backend->stream(), *customer_);
-  const auto nlj = tpch::RunQ3(*backend, dev_cust, dev_ord, dev_li,
-                               tpch::Q3Params(), tpch::JoinStrategy::kNestedLoops);
-  const auto auto_join = tpch::RunQ3(*backend, dev_cust, dev_ord, dev_li,
-                                     tpch::Q3Params(), tpch::JoinStrategy::kAuto);
+  // The same plan with every join forced onto nested loops before it is
+  // optimized; the optimizer keeps a join algorithm that is not kAuto.
+  const plan::QueryShape shape = Shape(plan::TpchQuery::kQ3);
+  plan::QueryPlanBundle bundle = plan::BuildQ3Plan(
+      resident_->customer, resident_->orders, resident_->lineitem);
+  for (plan::PlanNode& node : bundle.plan.nodes) {
+    if (node.kind == plan::NodeKind::kJoin) {
+      node.join_algo = plan::JoinAlgo::kNestedLoops;
+    }
+  }
+  plan::OptimizerOptions pin;
+  pin.pin_backend = GetParam();
+  const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, pin);
+  for (const plan::PlanNode& node : phys.plan.nodes) {
+    if (node.kind == plan::NodeKind::kJoin && !node.dead) {
+      EXPECT_EQ(node.join_algo, plan::JoinAlgo::kNestedLoops);
+    }
+  }
+  const auto nlj = plan::ExtractResult(shape.query, bundle,
+                                       plan::RunPinned(phys, *backend_))
+                       .q3;
+  const auto auto_join = Run(shape).q3;
   ASSERT_EQ(nlj.size(), auto_join.size());
   for (size_t i = 0; i < nlj.size(); ++i) {
     EXPECT_EQ(nlj[i].orderkey, auto_join[i].orderkey);
@@ -274,10 +308,7 @@ TEST_P(TpchQueryTest, Q3ForcedNestedLoopsAgreesWithAuto) {
 }
 
 TEST_P(TpchQueryTest, Q4MatchesReference) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const auto dev_li = storage::UploadTable(backend->stream(), *lineitem_);
-  const auto dev_ord = storage::UploadTable(backend->stream(), *orders_);
-  const auto got = tpch::RunQ4(*backend, dev_ord, dev_li);
+  const auto got = Run(Shape(plan::TpchQuery::kQ4)).q4;
   const auto expected = tpch::ReferenceQ4(*orders_, *lineitem_);
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
@@ -287,33 +318,26 @@ TEST_P(TpchQueryTest, Q4MatchesReference) {
 }
 
 TEST_P(TpchQueryTest, Q14MatchesReference) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
   // Library NLJ over the full part table is O(|part| * |lineitem'|); keep
   // the ArrayFire per-row where() variant affordable by joining at this SF.
-  const auto dev_li = storage::UploadTable(backend->stream(), *lineitem_);
-  const storage::Table part = tpch::GeneratePart(config_);
-  const auto dev_part = storage::UploadTable(backend->stream(), part);
-  const double got = tpch::RunQ14(*backend, dev_part, dev_li);
-  const double expected = tpch::ReferenceQ14(part, *lineitem_);
+  const double got = Run(Shape(plan::TpchQuery::kQ14)).scalar;
+  const double expected = tpch::ReferenceQ14(*part_, *lineitem_);
   EXPECT_NEAR(got, expected, 1e-9 * std::abs(expected) + 1e-9);
   EXPECT_GT(got, 0.0);
   EXPECT_LT(got, 100.0);
 }
 
 TEST_P(TpchQueryTest, Q6SelectivityParametersMatter) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const storage::DeviceTable dev =
-      storage::UploadTable(backend->stream(), *lineitem_);
-  tpch::Q6Params wide;
-  wide.date_lo = tpch::DaysFromDate(1992, 1, 1);
-  wide.date_hi = tpch::DaysFromDate(1999, 12, 31);
-  wide.discount_lo = 0.0;
-  wide.discount_hi = 1.0;
-  wide.quantity_hi = 100.0;
-  const double everything = tpch::RunQ6(*backend, dev, wide);
-  const double narrow = tpch::RunQ6(*backend, dev);
+  plan::QueryShape wide = Shape(plan::TpchQuery::kQ6);
+  wide.q6.date_lo = tpch::DaysFromDate(1992, 1, 1);
+  wide.q6.date_hi = tpch::DaysFromDate(1999, 12, 31);
+  wide.q6.discount_lo = 0.0;
+  wide.q6.discount_hi = 1.0;
+  wide.q6.quantity_hi = 100.0;
+  const double everything = Run(wide).scalar;
+  const double narrow = Run(Shape(plan::TpchQuery::kQ6)).scalar;
   EXPECT_GT(everything, narrow);
-  EXPECT_NEAR(everything, tpch::ReferenceQ6(*lineitem_, wide),
+  EXPECT_NEAR(everything, tpch::ReferenceQ6(*lineitem_, wide.q6),
               std::abs(everything) * 1e-9 + 1e-6);
 }
 

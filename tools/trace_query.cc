@@ -30,6 +30,7 @@
 //                           [--fleet-readmit=N]
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,9 +43,8 @@
 #include "gpusim/fault.h"
 #include "gpusim/trace.h"
 #include "plan/partition.h"
+#include "plan/prepared.h"
 #include "plan/query_spec.h"
-#include "storage/encoded_column.h"
-#include "tpch/queries.h"
 
 namespace {
 
@@ -111,34 +111,36 @@ int main(int argc, char** argv) {
   const std::vector<plan::TpchTable> read =
       plan::TablesRead(plan::GetQuerySpec(q));
   plan::PerTable<storage::Table> host;
+  plan::PerTable<const storage::Table*> read_host{};
   for (const plan::TpchTable t : read) {
-    host[static_cast<size_t>(t)] = plan::GenerateTable(t, config);
+    const size_t i = static_cast<size_t>(t);
+    host[i] = plan::GenerateTable(t, config);
+    read_host[i] = &host[i];
   }
+  const plan::TpchHostTables tables{read_host[0], read_host[1], read_host[2],
+                                    read_host[3]};
 
   auto backend = core::BackendRegistry::Instance().Create(backend_name);
   gpusim::Stream& stream = backend->stream();
   gpusim::Device& device = gpusim::Device::Default();
 
   // Governed mode uploads inside the governed run (slices and all), so the
-  // fixture tables stay host-side; ungoverned mode pre-uploads as before.
-  plan::PerTable<storage::DeviceTable> dev;
+  // fixture tables stay host-side; ungoverned mode makes them resident up
+  // front and runs the query's plan prepared against them, pinned to the
+  // backend.
+  std::shared_ptr<const plan::PreparedTpchQuery> prepared;
   if (governed) {
     device.set_memory_capacity(capacity_bytes);
     std::cout << "memory: capacity constrained to " << capacity_bytes
               << " bytes\n";
   } else {
-    for (const plan::TpchTable t : read) {
-      const size_t i = static_cast<size_t>(t);
-      dev[i] = encoded ? storage::UploadTableEncoded(stream, host[i])
-                       : storage::UploadTable(stream, host[i]);
-    }
+    plan::QueryShape shape;
+    shape.query = q;
+    shape.use_encoding = encoded;
+    prepared = plan::PrepareTpchQuery(
+        shape, plan::MakeResident(stream, tables, encoded), backend_name);
   }
-  const storage::DeviceTable& dev_lineitem = dev[0];
-  const storage::DeviceTable& dev_orders = dev[1];
-  const storage::DeviceTable& dev_customer = dev[2];
-  const storage::DeviceTable& dev_part = dev[3];
 
-  const plan::TpchHostTables tables{&host[0], &host[1], &host[2], &host[3]};
   core::GovernorOptions governor_opts;
   governor_opts.device = &device;
   core::MemoryGovernor governor(governor_opts);
@@ -178,17 +180,7 @@ int main(int argc, char** argv) {
                 << stats.simulated_ns << " simulated ns\n";
       return;
     }
-    if (query == "q1") {
-      tpch::RunQ1(*backend, dev_lineitem);
-    } else if (query == "q6") {
-      tpch::RunQ6(*backend, dev_lineitem);
-    } else if (query == "q3") {
-      tpch::RunQ3(*backend, dev_customer, dev_orders, dev_lineitem);
-    } else if (query == "q4") {
-      tpch::RunQ4(*backend, dev_orders, dev_lineitem);
-    } else {
-      tpch::RunQ14(*backend, dev_part, dev_lineitem);
-    }
+    prepared->Run(*backend);
   };
 
   // Faults are armed after the uploads: the chaos run perturbs the query,
