@@ -10,6 +10,12 @@
 // not bit-identical in simulated time to the pre-storm golden run (exit 4:
 // fault handling leaked into the cost model).
 //
+// Before the storm, a one-client burst phase puts the scheduler's own retry
+// under test: three consecutive kernel faults outlast the executor's node
+// replay, so one query fails its first attempt and completes on the
+// scheduler's second. The harness exits 5 if no query needed a second
+// attempt there (the retry path went untested).
+//
 // Not a google-benchmark binary: the unit of work is a whole scheduler run
 // and the checks need cross-run state, so it drives itself and optionally
 // writes machine-readable JSON for CI archiving.
@@ -171,6 +177,49 @@ int Run(const Options& opts) {
     }
   }
 
+  // Burst phase: every kernel call faults until three have fired. On one
+  // client the whole burst lands on one query's node, exhausting its replay.
+  core::SchedulerOptions chaos_opts;
+  chaos_opts.backend_name = opts.backend;
+  chaos_opts.num_clients = 1;
+  chaos_opts.retry.max_attempts = 10;
+  gpusim::FaultInjector burst(opts.seed);
+  {
+    gpusim::FaultRule burst_rule;
+    burst_rule.site = gpusim::FaultSite::kKernel;
+    burst_rule.kind = gpusim::FaultKind::kTransientKernel;
+    burst_rule.every_calls = 1;
+    burst_rule.max_fires = 3;
+    burst.AddRule(burst_rule);
+  }
+  size_t failed = 0;
+  size_t burst_retried = 0;
+  int burst_max_attempts = 1;
+  std::vector<plan::TpchQueryResult> burst_answers(kNumKinds);
+  {
+    device.set_fault_injector(&burst);
+    core::QueryScheduler scheduler(chaos_opts);
+    for (size_t i = 0; i < kNumKinds; ++i) {
+      scheduler.Submit(kKinds[i], make_query(kKinds[i], &burst_answers[i]));
+    }
+    scheduler.Drain();
+    device.set_fault_injector(nullptr);
+    for (const core::QueryRecord& q : scheduler.Records()) {
+      if (!q.ok) {
+        ++failed;
+        std::fprintf(stderr, "PERMANENT FAILURE (burst): %s: %s\n",
+                     q.label.c_str(), q.error.c_str());
+      }
+      if (q.attempts > 1) ++burst_retried;
+      burst_max_attempts = std::max(burst_max_attempts, q.attempts);
+    }
+  }
+  std::printf("scheduler retry:  burst of %llu kernel faults on 1 client, "
+              "%zu of %zu queries needed a second attempt (max attempts "
+              "%d)\n",
+              static_cast<unsigned long long>(burst.stats().injected_kernel),
+              burst_retried, kNumKinds, burst_max_attempts);
+
   // Transient-only fault plan, budgeted below the retry budget: at most 4
   // kernel faults + 3 transfer faults (worst case all land on one query:
   // 8 attempts < max_attempts) plus one device OOM, which the scheduler
@@ -200,11 +249,8 @@ int Run(const Options& opts) {
   core::ResilienceManager::Global().Reset();
   device.set_fault_injector(&injector);
 
-  core::SchedulerOptions chaos_opts;
-  chaos_opts.backend_name = opts.backend;
   chaos_opts.num_clients = opts.clients;
   chaos_opts.queue_capacity = 2 * static_cast<size_t>(opts.clients);
-  chaos_opts.retry.max_attempts = 10;
 
   const size_t total = static_cast<size_t>(opts.clients) * opts.per_client;
   std::vector<plan::TpchQueryResult> answers(total);
@@ -222,7 +268,6 @@ int Run(const Options& opts) {
   const gpusim::FaultInjectorStats fstats = injector.stats();
   const core::ResilienceStats& res = report.resilience;
 
-  size_t failed = 0;
   size_t retried_queries = 0;
   int max_attempts_seen = 1;
   for (const core::QueryRecord& q : scheduler.Records()) {
@@ -263,6 +308,11 @@ int Run(const Options& opts) {
   bool answers_ok = true;
   for (size_t i = 0; i < total; ++i) {
     if (!CheckAnswer(kinds[i], answers[i], reference)) {
+      answers_ok = false;
+    }
+  }
+  for (size_t i = 0; i < kNumKinds; ++i) {
+    if (!CheckAnswer(kKinds[i], burst_answers[i], reference)) {
       answers_ok = false;
     }
   }
@@ -315,6 +365,8 @@ int Run(const Options& opts) {
         << "  \"reserved_bytes\": " << report.device_reserved_bytes << ",\n"
         << "  \"recovered_queries\": " << retried_queries << ",\n"
         << "  \"max_attempts\": " << max_attempts_seen << ",\n"
+        << "  \"burst_recovered_queries\": " << burst_retried << ",\n"
+        << "  \"burst_max_attempts\": " << burst_max_attempts << ",\n"
         << "  \"permanent_failures\": " << failed << ",\n"
         << "  \"answers_ok\": " << (answers_ok ? "true" : "false") << ",\n"
         << "  \"golden_ok\": " << (golden_ok ? "true" : "false") << "\n}\n";
@@ -324,6 +376,12 @@ int Run(const Options& opts) {
   if (failed > 0) return 2;
   if (!answers_ok) return 3;
   if (!golden_ok) return 4;
+  if (burst_retried == 0) {
+    std::fprintf(stderr,
+                 "SCHEDULER RETRY UNTESTED: no query of the burst phase "
+                 "needed a second attempt\n");
+    return 5;
+  }
   return 0;
 }
 

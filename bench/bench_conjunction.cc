@@ -24,8 +24,8 @@ void ConjunctionBench(benchmark::State& state, const std::string& name,
     col_ptrs.push_back(&cols[p]);
     // ~70% per predicate: conjunction ~0.7^k, disjunction saturates.
     preds.push_back(
-        core::Predicate::Make("c" + std::to_string(p), core::CompareOp::kLt,
-                              70.0));
+        core::Predicate::Make(std::string("c").append(std::to_string(p)),
+                              core::CompareOp::kLt, 70.0));
   }
   auto run = [&] {
     return conjunctive ? backend->SelectConjunctive(col_ptrs, preds)

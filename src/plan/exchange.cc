@@ -1,39 +1,63 @@
 #include "plan/exchange.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/registry.h"
 #include "core/resilience.h"
 #include "gpusim/fault.h"
+#include "gpusim/trace.h"
 #include "plan/explain.h"
 #include "plan/optimizer.h"
 #include "plan/partition_detail.h"
-#include "storage/encoded_column.h"
 
 namespace plan {
 namespace {
 
-/// Per-device state of one sharded run; the backend outlives the worker
-/// thread so the coordinator can charge exchanges against its stream. The
-/// state persists across recovery rounds: a surviving device that takes
-/// replacement slices keeps its backend, stream timeline, and accumulated
-/// partials.
-struct WorkerState {
-  std::unique_ptr<core::Backend> backend;
+/// Partition count the OOM ladder never exceeds; past it the OOM propagates.
+constexpr size_t kMaxPartitions = 256;
+
+/// One device of a partitioned run. Its backend is the caller's (a governed
+/// run) or a registry instance bound to the device, made the first time the
+/// lane is handed slices. Lane state persists across recovery rounds: a
+/// surviving device that takes replacement slices keeps its backend, stream
+/// timeline, grant and accumulated partials.
+struct Lane {
+  Lane() = default;
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+  ~Lane() { Release(); }
+
+  /// Returns the lane's admission grant, if it holds one.
+  void Release() {
+    if (grantor == nullptr) return;
+    grantor->Release(index, backend->stream().id());
+    grantor = nullptr;
+  }
+
+  int index = 0;
+  gpusim::Device* device = nullptr;
+  core::Backend* backend = nullptr;
+  std::unique_ptr<core::Backend> owned;
+  uint64_t start_ns = 0;
+  core::MultiGovernor* grantor = nullptr;  ///< set while holding a grant
+  std::vector<detail::RowRange> assigned;  ///< this round's slices
   Partial partials;
   DeviceShardStats stats;
   uint64_t broadcast_bytes = 0;
-  uint64_t start_ns = 0;
   std::exception_ptr error;
-  /// The device fired a sticky DeviceLost during this round. Unlike `error`
-  /// this is recoverable: `unfinished` holds the slices that still need a
+  /// Non-empty when the device fired a sticky DeviceLost this round. Unlike
+  /// `error` this is recoverable: it holds the slices that still need a
   /// home, and `partials` keeps everything the device finished before dying.
-  bool device_lost = false;
   std::vector<detail::RowRange> unfinished;
   /// Checkpoint ledger: row ranges whose results have been accumulated into
   /// `partials` (host memory). A loss reuses these instead of recomputing;
@@ -44,84 +68,110 @@ struct WorkerState {
   size_t checkpoints_counted = 0;
 };
 
-/// Runs one device's shard list: bind the device, build a private backend
-/// (or reuse the round-1 backend on a recovery round), admit against the
-/// device's governor, broadcast the build-side tables, then execute each
-/// slice exactly as the single-device partitioned path does (upload, pinned
-/// plan, accumulate). A sticky DeviceLost is caught here: the device is
-/// marked dead in the group, its per-device breaker records the failure, the
-/// governor grant is returned, and the slices that did not finish are
-/// reported for re-placement.
-void RunDeviceShards(const QuerySpec& spec, const TpchHostTables& tables,
-                     gpusim::DeviceGroup& group, int d,
-                     const std::string& backend_name,
-                     const std::vector<detail::RowRange>& ranges,
-                     const ShardedQueryOptions& options,
-                     const detail::QueryEncodings* encodings,
-                     uint64_t footprint, WorkerState& ws) {
-  bool admitted = false;
-  uint64_t stream_id = 0;
-  size_t next_range = 0;  // first range not yet accumulated
-  uint64_t bcast = 0;     // set once the build sides are resident
-  ws.device_lost = false;
-  ws.unfinished.clear();
-  try {
-    gpusim::Device& dev = group.device(d);
-    gpusim::Device::DeviceGuard guard(dev);
-    if (ws.backend == nullptr) {
-      ws.backend = core::BackendRegistry::Instance().Create(backend_name);
-      ws.start_ns = ws.backend->stream().now_ns();
-    }
-    stream_id = ws.backend->stream().id();
+/// What every lane of one run shares.
+struct RunContext {
+  const QuerySpec& spec;
+  const TpchHostTables& tables;
+  gpusim::DeviceGroup* group;  ///< null: one lane on a borrowed backend
+  const std::string& backend_name;
+  const ShardedQueryOptions& options;
+  const std::function<void(const PressureEvent&)>& on_event;
+  const detail::QueryEncodings* encodings;
+  size_t partitions = 1;     ///< K of the attempt in flight
+  uint64_t admit_bytes = 0;  ///< per-device admission footprint
+};
 
-    if (options.governor != nullptr) {
-      const core::AdmissionTicket ticket = options.governor->Admit(
-          d, stream_id, footprint, options.admit_timeout_ms);
+/// Reports a memory-pressure event to the observer and, when `stream`'s
+/// device has a tracer, to its "memory" category.
+void Emit(const RunContext& run, gpusim::Stream* stream,
+          PressureEvent::Kind kind, std::string detail, uint64_t bytes) {
+  gpusim::Tracer* tracer =
+      stream != nullptr ? stream->device().tracer() : nullptr;
+  if (tracer != nullptr) {
+    gpusim::TraceEvent e;
+    e.name = std::string(PressureEventKindName(kind)) + ": " + detail;
+    e.category = "memory";
+    e.start_ns = stream->now_ns();
+    e.stream_id = stream->id();
+    tracer->Record(std::move(e));
+  }
+  if (!run.on_event) return;
+  PressureEvent event;
+  event.kind = kind;
+  event.detail = std::move(detail);
+  event.bytes = bytes;
+  event.partitions = run.partitions;
+  run.on_event(event);
+}
+
+/// Runs one lane's slices for this round: admit against the device's
+/// governor (the grant is held until the run ends or the device dies), then
+/// run the slices with the stream's reservation bound. A sticky DeviceLost
+/// on a group device is caught here: the device is marked dead in the
+/// group, its per-device breaker records the failure, the grant is
+/// returned, and the slices that did not finish are reported for
+/// re-placement. Any other error (and a DeviceLost with no group to recover
+/// in) is left in `lane.error`.
+void RunLane(const RunContext& run, Lane& lane) {
+  gpusim::Stream& stream = lane.backend->stream();
+  size_t next = 0;    // first range not yet accumulated
+  uint64_t bcast = 0;  // set once the build sides are resident
+  try {
+    gpusim::Device::DeviceGuard guard(*lane.device);
+    core::MultiGovernor* governor = run.options.governor;
+    if (governor != nullptr && lane.grantor == nullptr) {
+      const core::AdmissionTicket ticket =
+          governor->Admit(lane.index, stream.id(), run.admit_bytes,
+                          run.options.admit_timeout_ms);
       if (!ticket.admitted()) {
-        throw std::runtime_error("device " + std::to_string(d) +
-                                 " admission rejected for " + spec.name);
+        throw std::runtime_error("device " + std::to_string(lane.index) +
+                                 " admission rejected for " + run.spec.name);
       }
-      admitted = true;
-      ws.stats.granted_bytes = ticket.granted_bytes;
+      lane.grantor = governor;
+      lane.stats.granted_bytes = ticket.granted_bytes;
     }
-    {
-      gpusim::Device::ReservationScope scope(dev, stream_id);
-      detail::SliceOptions slices;
-      slices.use_encoding = options.use_encoding;
-      slices.encodings = encodings;
-      slices.upload_attempts = 4;
-      detail::RunSlices(
-          spec, tables, *ws.backend, slices, ranges, &next_range, ws.partials,
-          &bcast, [&](const detail::SliceDone& s) {
-            ws.checkpoints.push_back(s.rows);  // host partials now cover it
-            ws.stats.upload_bytes += s.h2d_bytes;
-            ws.stats.download_bytes += s.d2h_bytes;
-            ws.stats.rows += s.rows.second - s.rows.first;
-            ++ws.stats.shards;
-          });
-    }
-    ws.stats.busy_ns = ws.backend->stream().now_ns() - ws.start_ns;
-    if (admitted) options.governor->Release(d, stream_id);
+    // Bind this thread's allocations to the stream's admission reservation
+    // (no-op without one): every pool-miss upload/intermediate below draws
+    // from the grant instead of racing concurrent clients for capacity.
+    gpusim::Device::ReservationScope scope(stream.device(), stream.id());
+    detail::RunSlices(
+        run.spec, run.tables, *lane.backend, run.encodings, lane.assigned,
+        &next, lane.partials, &bcast, [&](const detail::SliceDone& s) {
+          lane.checkpoints.push_back(s.rows);  // host partials now cover it
+          lane.stats.upload_bytes += s.h2d_bytes;
+          lane.stats.download_bytes += s.d2h_bytes;
+          lane.stats.rows += s.rows.second - s.rows.first;
+          ++lane.stats.shards;
+          if (run.partitions <= 1) return;
+          Emit(run, &stream, PressureEvent::Kind::kSpill,
+               "partition " + std::to_string(s.index) + "/" +
+                   std::to_string(run.partitions) + " rows [" +
+                   std::to_string(s.rows.first) + ", " +
+                   std::to_string(s.rows.second) + ") h2d " +
+                   std::to_string(s.h2d_bytes) + " B, d2h " +
+                   std::to_string(s.d2h_bytes) + " B",
+               s.h2d_bytes + s.d2h_bytes);
+        });
   } catch (const gpusim::DeviceLost&) {
-    if (admitted) options.governor->Release(d, stream_id);
-    group.MarkLost(d);
-    core::ResilienceManager::Global().RecordFailure(backend_name, d);
-    ws.device_lost = true;
-    ws.stats.lost = true;
-    // The slice in flight (nothing of it was accumulated) and everything
-    // after it still need a home; finished slices stay in ws.partials.
-    for (size_t i = next_range; i < ranges.size(); ++i) {
-      ws.unfinished.push_back(ranges[i]);
-    }
-    if (ws.backend != nullptr) {
-      ws.stats.busy_ns = ws.backend->stream().now_ns() - ws.start_ns;
+    if (run.group == nullptr) {
+      lane.error = std::current_exception();
+    } else {
+      lane.Release();
+      run.group->MarkLost(lane.index);
+      core::ResilienceManager::Global().RecordFailure(run.backend_name,
+                                                      lane.index);
+      lane.stats.lost = true;
+      // The slice in flight (nothing of it was accumulated) and everything
+      // after it still need a home; finished slices stay in lane.partials.
+      lane.unfinished.assign(lane.assigned.begin() + next,
+                             lane.assigned.end());
     }
   } catch (...) {
-    if (admitted) options.governor->Release(d, stream_id);
-    ws.error = std::current_exception();
+    lane.error = std::current_exception();
   }
-  ws.broadcast_bytes += bcast;
-  ws.stats.upload_bytes += bcast;
+  lane.stats.busy_ns = stream.now_ns() - lane.start_ns;
+  lane.broadcast_bytes += bcast;
+  lane.stats.upload_bytes += bcast;
 }
 
 /// Drives the group's lifecycle machine at a round boundary. When `tick` is
@@ -129,14 +179,13 @@ void RunDeviceShards(const QuerySpec& spec, const TpchHostTables& tables,
 /// waited their drawn number of rounds move to Probing); then every Probing
 /// device gets its half-open probe, and the outcome is mirrored into every
 /// backend@ordinal breaker at that ordinal (SyncDeviceProbe). A device that
-/// passes is readmitted on the spot: its worker keeps its backend (the
-/// stream is just a timeline; nothing device-resident survives a round) and
-/// its checkpointed host partials, and the next round's broadcast upload
+/// passes is readmitted on the spot: its lane keeps its backend (the stream
+/// is just a timeline; nothing device-resident survives a round) and its
+/// checkpointed host partials, and the next round's broadcast upload
 /// restores build-side state before any slice runs on it. On a healthy run
 /// no device is ever Probing, so nothing here executes or charges.
-void ProbeAndReadmit(gpusim::DeviceGroup& group,
-                     std::vector<WorkerState>& workers, bool tick,
-                     ShardedRunStats& st) {
+void ProbeAndReadmit(gpusim::DeviceGroup& group, std::vector<Lane>& lanes,
+                     bool tick, ShardedRunStats& st) {
   if (tick) group.TickLostDevices();
   for (int d : group.ProbingDevices()) {
     const bool ok = group.Probe(d);
@@ -145,9 +194,104 @@ void ProbeAndReadmit(gpusim::DeviceGroup& group,
       ++st.probe_failures;
       continue;
     }
-    workers[static_cast<size_t>(d)].stats.readmitted = true;
+    lanes[static_cast<size_t>(d)].stats.readmitted = true;
     group.CompleteReadmission(d);
     ++st.devices_readmitted;
+  }
+}
+
+bool IsOutOfMemory(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const gpusim::OutOfDeviceMemory&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
+/// Runs `pending` slices at one partition count in rounds until every slice
+/// has executed somewhere. Each round deals the slices, sorted by
+/// row_begin, over the live devices; a round ends by collecting the
+/// unfinished slices of lanes that lost their device for the next deal.
+/// Placement depends only on which devices died, never on host thread
+/// timing, so a given fault schedule always yields the same degraded
+/// placement. Returns the first lane's OutOfDeviceMemory, for the caller's
+/// ladder; any other lane error is rethrown.
+std::exception_ptr RunRounds(const RunContext& run, std::vector<Lane>& lanes,
+                             std::vector<detail::RowRange> pending,
+                             ShardedRunStats& st) {
+  for (;;) {
+    std::sort(pending.begin(), pending.end());
+    const std::vector<int> where = detail::PlaceRanges(
+        pending.size(), run.group != nullptr ? run.group->AliveDevices()
+                                             : std::vector<int>{0});
+    std::vector<Lane*> busy;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      Lane& lane = lanes[static_cast<size_t>(where[i])];
+      if (lane.assigned.empty()) busy.push_back(&lane);
+      lane.assigned.push_back(pending[i]);
+    }
+    for (Lane* lane : busy) {
+      if (lane->backend != nullptr) continue;
+      gpusim::Device::DeviceGuard guard(*lane->device);
+      lane->owned = core::BackendRegistry::Instance().Create(run.backend_name);
+      lane->backend = lane->owned.get();
+      lane->start_ns = lane->backend->stream().now_ns();
+    }
+    if (busy.size() == 1) {
+      RunLane(run, *busy[0]);  // one device: inline, no thread
+    } else {
+      // A backend routed through process-global library state (ArrayFire's
+      // implicit JIT stream, the adaptive hybrid) cannot run one instance
+      // per device thread.
+      for (Lane* lane : busy) {
+        if (!lane->backend->concurrency_safe()) {
+          throw std::invalid_argument(
+              "backend '" + run.backend_name +
+              "' is not concurrency-safe and cannot run on " +
+              std::to_string(busy.size()) + " devices at once");
+        }
+      }
+      std::vector<std::thread> threads;
+      threads.reserve(busy.size());
+      for (Lane* lane : busy) {
+        threads.emplace_back([&run, lane] { RunLane(run, *lane); });
+      }
+      for (std::thread& t : threads) t.join();
+    }
+
+    std::exception_ptr oom;
+    for (Lane& lane : lanes) {
+      lane.assigned.clear();
+      if (lane.error == nullptr) continue;
+      if (!IsOutOfMemory(lane.error)) std::rethrow_exception(lane.error);
+      if (oom == nullptr) oom = lane.error;
+    }
+
+    pending.clear();
+    for (Lane& lane : lanes) {
+      if (lane.unfinished.empty()) continue;
+      ++st.devices_lost;
+      // Everything the dead device had finished is checkpointed in host
+      // memory (lane.partials); those slices merge into the answer without
+      // ever re-running. Credit each checkpoint at most once across
+      // repeated losses of the same device.
+      st.checkpointed_slices_reused +=
+          lane.checkpoints.size() - lane.checkpoints_counted;
+      lane.checkpoints_counted = lane.checkpoints.size();
+      pending.insert(pending.end(), lane.unfinished.begin(),
+                     lane.unfinished.end());
+      lane.unfinished.clear();
+    }
+    if (oom != nullptr || pending.empty()) return oom;
+
+    // Round boundary: advance the lifecycle machine before re-dealing, so a
+    // device whose reset came through in time takes replacement slices
+    // itself instead of leaving the survivors to absorb them.
+    ProbeAndReadmit(*run.group, lanes, /*tick=*/true, st);
+    ++st.recovery_rounds;
+    st.replaced_shards += pending.size();
   }
 }
 
@@ -178,10 +322,11 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
   const uint64_t li_bytes = detail::HostTableBytes(*tables.lineitem);
   const uint64_t row_bytes = li_rows > 0 ? li_bytes / li_rows : 0;
 
-  // Shard s lands on device s % N (round-robin, same as RunSharded).
+  const std::vector<int> where =
+      detail::PlaceRanges(ranges.size(), group.AliveDevices());
   for (size_t s = 0; s < ranges.size(); ++s) {
     ShardPlacement p;
-    p.device = static_cast<int>(s % static_cast<size_t>(group.size()));
+    p.device = where[s];
     p.row_begin = ranges[s].first;
     p.row_end = ranges[s].second;
     p.upload_bytes = (p.row_end - p.row_begin) * row_bytes;
@@ -276,187 +421,131 @@ std::string ExplainSharded(const ShardedPlanSpec& spec,
   return os.str();
 }
 
-TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
-                           gpusim::DeviceGroup& group,
-                           const std::string& backend_name,
-                           const ShardedQueryOptions& options,
-                           ShardedRunStats* stats) {
-  const QuerySpec& spec = GetQuerySpec(query);
-  detail::RequireTables(spec, tables);
-  const int nd = group.size();
-  if (nd <= 0) throw std::invalid_argument("empty device group");
+namespace detail {
 
-  ShardedRunStats local;
-  ShardedRunStats& st = stats != nullptr ? *stats : local;
+std::vector<int> PlaceRanges(size_t slices, const std::vector<int>& devices) {
+  if (devices.empty()) {
+    throw gpusim::DeviceLost("no live device to place " +
+                             std::to_string(slices) + " slice(s) on");
+  }
+  std::vector<int> where(slices);
+  for (size_t i = 0; i < slices; ++i) where[i] = devices[i % devices.size()];
+  return where;
+}
+
+TpchQueryResult RunPartitioned(
+    const QuerySpec& spec, const TpchHostTables& tables,
+    gpusim::DeviceGroup* group, core::Backend* borrowed,
+    const std::string& backend_name, const ShardedQueryOptions& options,
+    const std::function<void(const PressureEvent&)>& on_event,
+    GovernedRunStats& gst, ShardedRunStats& st) {
+  RequireTables(spec, tables);
+  gst = GovernedRunStats();
   st = ShardedRunStats();
+  const int nd = group != nullptr ? group->size() : 1;
   st.devices = nd;
 
-  if (nd == 1) {
-    // Degenerate case: exactly the governed single-device path (bit-identical
-    // simulated timeline), with the group's device bound for the backend.
-    gpusim::Device::DeviceGuard guard(group.device(0));
-    std::unique_ptr<core::Backend> backend =
-        core::BackendRegistry::Instance().Create(backend_name);
-    gpusim::Stream& stream = backend->stream();
-    detail::QueryEncodings enc;
-    if (options.use_encoding) enc = detail::AnalyzeQueryTables(spec, tables);
-    const detail::QueryEncodings* encodings =
-        options.use_encoding ? &enc : nullptr;
-    bool admitted = false;
-    uint64_t granted = 0;
-    if (options.governor != nullptr) {
-      const uint64_t footprint = detail::EstimateFootprint(
-          spec, tables, backend_name, 1, encodings);
-      const core::AdmissionTicket ticket = options.governor->Admit(
-          0, stream.id(), footprint, options.admit_timeout_ms);
-      if (!ticket.admitted()) {
-        throw std::runtime_error(
-            std::string("device 0 admission rejected for ") + spec.name);
-      }
-      admitted = true;
-      granted = ticket.granted_bytes;
-    }
-    GovernedQueryOptions gopt;
-    gopt.force_partitions = options.force_shards;
-    gopt.use_encoding = options.use_encoding;
-    GovernedRunStats gstats;
-    TpchQueryResult result;
-    try {
-      result = detail::RunGovernedAnalyzed(query, tables, *backend, gopt,
-                                           &gstats, encodings);
-    } catch (...) {
-      if (admitted) options.governor->Release(0, stream.id());
-      throw;
-    }
-    if (admitted) options.governor->Release(0, stream.id());
-    st.shards = gstats.partitions;
-    st.simulated_ns = gstats.simulated_ns;
-    DeviceShardStats ds;
-    ds.device = 0;
-    ds.shards = gstats.partitions;
-    ds.rows = tables.lineitem->num_rows();
-    ds.upload_bytes = gstats.spill_h2d_bytes;
-    ds.download_bytes = gstats.spill_d2h_bytes;
-    ds.busy_ns = gstats.simulated_ns;
-    ds.granted_bytes = granted;
-    ds.peak_bytes = group.PerDevicePeakBytes()[0];
-    st.per_device.push_back(ds);
-    return result;
+  std::vector<Lane> lanes(static_cast<size_t>(nd));
+  for (int d = 0; d < nd; ++d) {
+    Lane& lane = lanes[static_cast<size_t>(d)];
+    lane.index = d;
+    lane.device = group != nullptr ? &group->device(d)
+                                   : &borrowed->stream().device();
+  }
+  if (borrowed != nullptr) {
+    lanes[0].backend = borrowed;
+    lanes[0].start_ns = borrowed->stream().now_ns();
+  } else {
+    // A group whose operator reset a lost device between runs (MarkReset)
+    // re-admits here, before placement, so this run plans onto the
+    // recovered ordinal. No-op — and charge-free — unless some device is
+    // Probing.
+    ProbeAndReadmit(*group, lanes, /*tick=*/false, st);
   }
 
-  {
-    // Probe once: a backend routed through process-global library state
-    // (ArrayFire's implicit JIT stream, the adaptive hybrid) cannot run one
-    // instance per device-thread.
-    gpusim::Device::DeviceGuard guard(group.device(0));
-    const std::unique_ptr<core::Backend> probe =
-        core::BackendRegistry::Instance().Create(backend_name);
-    if (!probe->concurrency_safe()) {
-      throw std::invalid_argument(
-          "backend '" + backend_name +
-          "' is not concurrency-safe and cannot shard across " +
-          std::to_string(nd) + " devices");
+  // One analysis of the tables serves every footprint estimate and every
+  // device's build-side uploads.
+  QueryEncodings enc;
+  if (options.use_encoding) enc = AnalyzeQueryTables(spec, tables);
+  RunContext run{spec,         tables,   group,
+                 backend_name, options,  on_event,
+                 options.use_encoding ? &enc : nullptr};
+
+  // Size K: one slice per device. On one device K then doubles while a
+  // slice's footprint exceeds the budget — the stream's grant, else the
+  // device's capacity. Several devices keep one slice each and rely on the
+  // OOM ladder below: the estimate is a deliberate over-bound, and slices
+  // that fit in practice keep their size.
+  const uint64_t footprint =
+      EstimateFootprint(spec, tables, backend_name, nd, run.encodings);
+  const uint64_t grant =
+      borrowed != nullptr
+          ? lanes[0].device->ReservationRemaining(borrowed->stream().id())
+          : 0;
+  const uint64_t budget =
+      grant > 0 ? grant : lanes[0].device->memory_capacity();
+  size_t k = static_cast<size_t>(nd);
+  uint64_t at_k = footprint;
+  if (options.force_shards > 0) {
+    k = options.force_shards;
+    if (k != static_cast<size_t>(nd) && options.governor != nullptr) {
+      at_k = EstimateFootprint(spec, tables, backend_name, k, run.encodings);
     }
+  } else if (nd == 1) {
+    while (k < kMaxPartitions && at_k > budget) {
+      k *= 2;
+      at_k = EstimateFootprint(spec, tables, backend_name, k, run.encodings);
+    }
+    k = std::min(k, kMaxPartitions);
   }
+  run.partitions = k;
+  run.admit_bytes = at_k;
+  gst.footprint_bytes = footprint;
+  gst.grant_bytes = grant;
+  gpusim::Stream* home = borrowed != nullptr ? &borrowed->stream() : nullptr;
+  Emit(run, home, PressureEvent::Kind::kAdmission,
+       std::string(spec.name) + " footprint " + std::to_string(footprint) +
+           " B, budget " + std::to_string(budget) + " B (" +
+           (grant > 0 ? "granted" : "ungoverned") + ") -> " +
+           std::to_string(k) + " partition(s)",
+       budget);
 
-  std::vector<WorkerState> workers(static_cast<size_t>(nd));
-  // A group whose operator reset a lost device between runs (MarkReset)
-  // re-admits here, before placement, so this run plans onto the recovered
-  // ordinal. No-op — and charge-free — unless some device is Probing.
-  ProbeAndReadmit(group, workers, /*tick=*/false, st);
-
-  const size_t shards =
-      options.force_shards > 0 ? options.force_shards : static_cast<size_t>(nd);
-  st.shards = shards;
-  const std::vector<detail::RowRange> ranges =
-      detail::PartitionRanges(*tables.lineitem, shards, spec.align_orderkey);
-  // Shards are dealt round-robin over the devices alive at planning time —
-  // with every device healthy this is exactly `s % nd`, so the healthy-path
-  // placement (and therefore the simulated timeline) is unchanged.
-  std::vector<std::vector<detail::RowRange>> assigned(
-      static_cast<size_t>(nd));
-  {
-    const std::vector<int> alive = group.AliveDevices();
-    if (alive.empty()) {
-      throw gpusim::DeviceLost("sharded run: no live device in the group");
+  for (;;) {
+    if (k > 1) {
+      Emit(run, home, PressureEvent::Kind::kPartition,
+           std::string(spec.name) + " executing in " + std::to_string(k) +
+               " row-range partitions",
+           0);
     }
-    for (size_t s = 0; s < ranges.size(); ++s) {
-      assigned[static_cast<size_t>(alive[s % alive.size()])].push_back(
-          ranges[s]);
+    // An abandoned attempt's partials and traffic do not count.
+    for (Lane& lane : lanes) {
+      lane.partials = Partial();
+      lane.checkpoints.clear();
+      lane.checkpoints_counted = 0;
+      lane.error = nullptr;
+      lane.broadcast_bytes = 0;
+      lane.stats.shards = 0;
+      lane.stats.rows = 0;
+      lane.stats.upload_bytes = 0;
+      lane.stats.download_bytes = 0;
     }
-  }
-  // One analysis of the tables serves the footprint and every device's
-  // broadcast uploads.
-  detail::QueryEncodings enc;
-  if (options.use_encoding) enc = detail::AnalyzeQueryTables(spec, tables);
-  const detail::QueryEncodings* encodings =
-      options.use_encoding ? &enc : nullptr;
-  // Each device's grant covers its largest single slice plus the broadcast
-  // tables — the same per-slice footprint the governed ladder would size.
-  const uint64_t footprint = detail::EstimateFootprint(
-      spec, tables, backend_name, shards, encodings);
-
-  // Run rounds until every slice has executed somewhere. Round 1 is the
-  // normal sharded run; a round ends by collecting the unfinished slices of
-  // workers that lost their device and dealing them — sorted by row_begin,
-  // round-robin in ascending device order — onto the survivors. Placement
-  // depends only on which devices died, never on host thread timing, so a
-  // given fault schedule always yields the same degraded placement.
-  while (true) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(nd));
-    for (int d = 0; d < nd; ++d) {
-      if (assigned[static_cast<size_t>(d)].empty()) continue;
-      threads.emplace_back([&, d] {
-        RunDeviceShards(spec, tables, group, d, backend_name,
-                        assigned[static_cast<size_t>(d)], options, encodings,
-                        footprint, workers[static_cast<size_t>(d)]);
-      });
+    const std::exception_ptr oom = RunRounds(
+        run, lanes,
+        PartitionRanges(*tables.lineitem, k, spec.align_orderkey), st);
+    if (oom == nullptr) break;
+    for (Lane& lane : lanes) {
+      if (lane.backend != nullptr) lane.backend->stream().device().TrimPool();
     }
-    for (std::thread& t : threads) t.join();
-    for (const WorkerState& ws : workers) {
-      if (ws.error != nullptr) std::rethrow_exception(ws.error);
+    if (options.force_shards > 0 || k >= kMaxPartitions) {
+      std::rethrow_exception(oom);
     }
-
-    std::vector<detail::RowRange> unfinished;
-    for (int d = 0; d < nd; ++d) {
-      WorkerState& ws = workers[static_cast<size_t>(d)];
-      assigned[static_cast<size_t>(d)].clear();
-      if (!ws.device_lost) continue;
-      ws.device_lost = false;
-      ++st.devices_lost;
-      // Everything the dead device had finished is checkpointed in host
-      // memory (ws.partials); those slices merge into the answer without
-      // ever re-running. Credit each checkpoint at most once across
-      // repeated losses of the same device.
-      st.checkpointed_slices_reused +=
-          ws.checkpoints.size() - ws.checkpoints_counted;
-      ws.checkpoints_counted = ws.checkpoints.size();
-      unfinished.insert(unfinished.end(), ws.unfinished.begin(),
-                        ws.unfinished.end());
-      ws.unfinished.clear();
-    }
-    if (unfinished.empty()) break;
-
-    // Round boundary: advance the lifecycle machine before re-dealing, so a
-    // device whose reset came through in time takes replacement slices
-    // itself instead of leaving the survivors to absorb them.
-    ProbeAndReadmit(group, workers, /*tick=*/true, st);
-
-    const std::vector<int> alive = group.AliveDevices();
-    if (alive.empty()) {
-      throw gpusim::DeviceLost(
-          "sharded run: every device of the group was lost; " +
-          std::to_string(unfinished.size()) + " slice(s) of " + spec.name +
-          " never ran");
-    }
-    std::sort(unfinished.begin(), unfinished.end());
-    for (size_t i = 0; i < unfinished.size(); ++i) {
-      const int d = alive[i % alive.size()];
-      assigned[static_cast<size_t>(d)].push_back(unfinished[i]);
-    }
-    ++st.recovery_rounds;
-    st.replaced_shards += unfinished.size();
+    k = std::min(kMaxPartitions, k * 2);
+    run.partitions = k;
+    ++gst.oom_fallbacks;
+    Emit(run, home, PressureEvent::Kind::kFallback,
+         std::string(spec.name) + " hit device OOM; repartitioning to " +
+             std::to_string(k),
+         0);
   }
 
   // Gather: every non-coordinator device ships its partials to the
@@ -466,44 +555,45 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
   // is free. Dead devices cannot touch the fabric: their partials are
   // already host-resident (Accumulate downloads every slice result), so
   // they are drained from host staging without an exchange charge.
+  const auto alive = [&](int d) {
+    return group == nullptr || group->IsAlive(d);
+  };
   int coord = -1;
   for (int d = 0; d < nd; ++d) {
-    if (workers[static_cast<size_t>(d)].backend != nullptr &&
-        group.IsAlive(d)) {
+    if (lanes[static_cast<size_t>(d)].backend != nullptr && alive(d)) {
       coord = d;
       break;
     }
   }
   if (coord < 0) {
     throw gpusim::DeviceLost(
-        "sharded run: no live device left to coordinate the gather");
+        "partitioned run: no live device left to coordinate the gather");
   }
-  Partial acc = std::move(workers[static_cast<size_t>(coord)].partials);
-  gpusim::Stream& dst = workers[static_cast<size_t>(coord)].backend->stream();
+  Partial acc = std::move(lanes[static_cast<size_t>(coord)].partials);
+  gpusim::Stream& dst = lanes[static_cast<size_t>(coord)].backend->stream();
   for (int d = 0; d < nd; ++d) {
-    if (d == coord) continue;
-    WorkerState& ws = workers[static_cast<size_t>(d)];
-    if (ws.backend == nullptr) continue;  // no shards landed on this device
+    Lane& lane = lanes[static_cast<size_t>(d)];
+    if (d == coord || lane.backend == nullptr) continue;
     const uint64_t bytes =
-        std::max<uint64_t>(ws.partials.Bytes(), sizeof(double));
+        std::max<uint64_t>(lane.partials.Bytes(), sizeof(double));
     bool charged = false;
-    if (group.IsAlive(d)) {
+    if (alive(d)) {
       // A transient TransferFault on the gather edge replays the exchange (a
       // fault fires before any pricing, so the successful attempt charges
       // exactly once). After the retry budget — or a DeviceLost on the edge
       // — fall back to draining the host-resident partials uncharged.
       for (int attempt = 0; attempt < 4; ++attempt) {
         try {
-          group.ChargeExchange(d, ws.backend->stream(), coord, dst, bytes);
+          group->ChargeExchange(d, lane.backend->stream(), coord, dst, bytes);
           charged = true;
           break;
         } catch (const gpusim::TransferFault&) {
           ++st.transfer_retries;
           core::ResilienceManager::Global().NoteFaultSeen();
         } catch (const gpusim::DeviceLost&) {
-          group.MarkLost(d);
+          group->MarkLost(d);
           core::ResilienceManager::Global().RecordFailure(backend_name, d);
-          ws.stats.lost = true;
+          lane.stats.lost = true;
           ++st.devices_lost;
           break;
         }
@@ -511,49 +601,51 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     }
     if (charged) {
       st.exchange_bytes += bytes;
-      if (group.IsPeer(d, coord)) {
+      if (group->IsPeer(d, coord)) {
         st.exchange_p2p_bytes += bytes;
       } else {
         st.exchange_via_host_bytes += bytes;
       }
     }
-    acc.Merge(ws.partials);
+    acc.Merge(lane.partials);
   }
 
-  const std::vector<uint64_t> peaks = group.PerDevicePeakBytes();
   uint64_t makespan = 0;
-  for (int d = 0; d < nd; ++d) {
-    WorkerState& ws = workers[static_cast<size_t>(d)];
-    if (ws.backend == nullptr) continue;
-    DeviceShardStats ds = ws.stats;
-    ds.device = d;
-    ds.peak_bytes = peaks[static_cast<size_t>(d)];
-    st.broadcast_bytes += ws.broadcast_bytes;
-    makespan = std::max(makespan, ws.backend->stream().now_ns() - ws.start_ns);
+  for (Lane& lane : lanes) {
+    if (lane.backend == nullptr) continue;
+    DeviceShardStats ds = lane.stats;
+    ds.device = lane.index;
+    ds.peak_bytes = lane.device->peak_bytes();
+    st.broadcast_bytes += lane.broadcast_bytes;
+    makespan =
+        std::max(makespan, lane.backend->stream().now_ns() - lane.start_ns);
+    if (k > 1) {
+      gst.spill_h2d_bytes += lane.stats.upload_bytes - lane.broadcast_bytes;
+      gst.spill_d2h_bytes += lane.stats.download_bytes;
+    }
     st.per_device.push_back(ds);
   }
+  st.shards = k;
   st.simulated_ns = makespan;
+  gst.partitions = k;
+  gst.simulated_ns = makespan;
   return spec.finalize(acc, QueryShape());
 }
 
-core::QueryFn MakeShardedQuery(TpchQuery query, TpchHostTables tables,
-                               gpusim::DeviceGroup& group,
-                               ShardedQueryOptions options,
-                               TpchQueryResult* out, ShardedRunStats* stats) {
-  // `group` is captured by reference: the caller keeps it (and the host
-  // tables) alive until the scheduler drains.
-  return [query, tables, &group, options = std::move(options), out,
-          stats](core::Backend& backend) {
-    ShardedRunStats local;
-    ShardedRunStats& st = stats != nullptr ? *stats : local;
-    TpchQueryResult result =
-        RunSharded(query, tables, group, backend.name(), options, &st);
-    // The sharded run happened on the group's own streams; advance the
-    // client's timeline by its makespan so scheduler latency percentiles
-    // price the query at its true simulated cost.
-    backend.stream().ChargeOverhead(st.simulated_ns);
-    if (out != nullptr) *out = std::move(result);
-  };
+}  // namespace detail
+
+TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
+                           gpusim::DeviceGroup& group,
+                           const std::string& backend_name,
+                           const ShardedQueryOptions& options,
+                           ShardedRunStats* stats) {
+  if (group.size() <= 0) throw std::invalid_argument("empty device group");
+  ShardedRunStats local;
+  GovernedRunStats unused;
+  return detail::RunPartitioned(GetQuerySpec(query), tables, &group,
+                                /*borrowed=*/nullptr, backend_name, options,
+                                /*on_event=*/nullptr, unused,
+                                stats != nullptr ? *stats : local);
 }
 
 }  // namespace plan

@@ -1,54 +1,51 @@
 // Multi-device sharded query execution over a gpusim::DeviceGroup.
 //
-// The partitioned path (plan/partition.h) runs K lineitem slices one after
-// another on one device; this module places the same slices across N devices
-// and runs them in parallel, one host thread per device, each against a
-// private backend instance bound to its device (gpusim::Device::DeviceGuard).
-// Small build-side tables (orders/customer/part) are broadcast to every
-// device; each device's partial result is exchanged to device 0 over the
-// group's fabric — a direct peer link inside an island, a two-hop via-host
-// path across islands — before the host merges partials exactly as the
-// single-device spill path does (plan/partition_detail.h).
+// The partitioned runner places K lineitem slices on D devices. RunGoverned
+// (plan/partition.h) is its one-device entry; RunSharded is the group entry:
+// one private backend instance per device, bound to it
+// (gpusim::Device::DeviceGuard), one host thread per device when more than
+// one device has work and inline on the calling thread otherwise. Small
+// build-side tables (orders/customer/part) are broadcast to every device
+// that runs slices; each device's partial result is exchanged to the
+// coordinator over the group's fabric — a direct peer link inside an
+// island, a two-hop via-host path across islands — before the host merges
+// partials (plan/partition_detail.h).
 //
-// Correctness inherits from the partitioned path: shard boundaries snap to
-// l_orderkey change points for the join/group queries, so per-shard partials
-// merge by addition or disjoint concatenation regardless of which device
-// computed them. Simulated time stays deterministic: each device's stream
-// timeline is a pure function of the commands charged to it, the exchange
-// charges happen in fixed device order, and the reported makespan is the
-// maximum per-device timeline delta — independent of host thread scheduling.
-// A 1-device group degenerates to RunGoverned and is bit-identical to it.
+// Correctness: shard boundaries snap to l_orderkey change points for the
+// join/group queries, so per-shard partials merge by addition or disjoint
+// concatenation regardless of which device computed them. Simulated time
+// stays deterministic: each device's stream timeline is a pure function of
+// the commands charged to it, the exchange charges happen in fixed device
+// order, and the reported makespan is the maximum per-device timeline delta
+// — independent of host thread scheduling. A 1-device group runs exactly
+// the commands of the equivalent governed run.
 //
-// Device loss degrades the run instead of failing it. A worker whose device
-// fires a sticky gpusim::DeviceLost marks the device dead in the group,
-// keeps the partials of the slices it already finished (they are in host
-// memory after Accumulate), and reports its unfinished slices. RunSharded
-// then re-places those slices deterministically — sorted by row_begin,
-// round-robin over the surviving devices in ascending order — re-uploading
-// the broadcast tables once on each device that takes replacement work, and
-// repeats until every slice has run somewhere or no device survives
-// (DeviceLost is rethrown only then). The gather re-routes around dead
-// devices: a dead device's partials are drained from host staging without a
-// fabric charge, the coordinator moves to the lowest surviving device, and
-// transient TransferFaults on a gather edge retry a bounded number of times
-// before falling back to a host-staged drain.
+// Memory: K starts at one slice per device and doubles on each
+// OutOfDeviceMemory (the attempt's partials are discarded), up to 256; a
+// 1-device group also pre-sizes K against the device's capacity, as
+// RunGoverned does.
 //
-// Loss is no longer forever. Completed slices checkpoint to host memory as
-// they finish (each worker records the ranges it has accumulated), so when a
-// device dies only its *unfinished* slices re-deal — the checkpointed ones
-// merge into the final answer without recompute (counted in
-// checkpointed_slices_reused). Between recovery rounds RunSharded drives the
-// group's lifecycle machine: an armed auto-reset policy ticks Lost devices
-// back to Probing (DeviceGroup::ArmAutoReset), every Probing device gets a
-// half-open probe kernel, and a device that passes is readmitted — its
-// breakers healed via ResilienceManager::SyncDeviceProbe, its worker (and
-// the host checkpoints of the slices it finished before dying) retained,
-// broadcast tables re-uploaded when the next round hands it slices. Probing
-// also runs
-// once before initial placement, so a group whose operator called MarkReset
-// between queries re-admits on the next run. When no fault fires, none of
-// this machinery charges anything, so the healthy-path simulated timeline
-// is bit-identical to the fault-free build.
+// Device loss degrades the run instead of failing it. A device that fires a
+// sticky gpusim::DeviceLost is marked dead in the group; the partials of the
+// slices it already finished stay checkpointed in host memory (counted in
+// checkpointed_slices_reused) and only its unfinished slices are re-dealt —
+// sorted by row_begin, round-robin over the surviving devices in ascending
+// order — with the broadcast tables re-uploaded once on each device that
+// takes replacement work. Rounds repeat until every slice has run somewhere
+// or no device survives (DeviceLost escapes only then). Between rounds the
+// group's lifecycle machine advances: an armed auto-reset policy ticks Lost
+// devices back to Probing (DeviceGroup::ArmAutoReset), every Probing device
+// gets a half-open probe kernel, and a device that passes is readmitted —
+// its breakers healed via ResilienceManager::SyncDeviceProbe, its
+// checkpoints kept. Probing also runs once before initial placement, so a
+// group whose operator called MarkReset between queries re-admits on the
+// next run. The gather re-routes around dead devices: a dead device's
+// partials are drained from host staging without a fabric charge, the
+// coordinator moves to the lowest surviving device, and transient
+// TransferFaults on a gather edge retry a bounded number of times before
+// falling back to a host-staged drain. When no fault fires, none of this
+// machinery charges anything, so the healthy-path simulated timeline is
+// bit-identical to the fault-free build.
 #ifndef PLAN_EXCHANGE_H_
 #define PLAN_EXCHANGE_H_
 
@@ -57,7 +54,6 @@
 #include <vector>
 
 #include "core/governor.h"
-#include "core/scheduler.h"
 #include "gpusim/device_group.h"
 #include "plan/ir.h"
 #include "plan/partition.h"
@@ -99,8 +95,8 @@ struct ShardedPlanSpec {
 };
 
 /// Plans a sharded execution: orderkey-snapped shard bounds (one shard per
-/// device unless `force_shards` overrides), round-robin shard->device
-/// placement, broadcast edges for every non-lineitem table the query reads,
+/// device unless `force_shards` overrides), the runner's round-robin
+/// placement over the live devices, broadcast edges for every non-lineitem table the query reads,
 /// and one gather edge per non-coordinator device routed per the group
 /// topology. Pure function of its inputs.
 ShardedPlanSpec PlanShardedExecution(TpchQuery query,
@@ -122,9 +118,9 @@ struct ShardedQueryOptions {
   size_t force_shards = 0;
   /// Upload tables (and shard slices) compressed, as in GovernedQueryOptions.
   bool use_encoding = false;
-  /// Per-device admission control; nullptr = ungoverned. Each device thread
-  /// admits its own footprint against its own device's governor before
-  /// uploading anything, and releases on completion.
+  /// Per-device admission control; nullptr = ungoverned. Each device admits
+  /// its per-slice footprint against its own device's governor before
+  /// uploading anything, and releases when the run ends or the device dies.
   core::MultiGovernor* governor = nullptr;
   /// Admission timeout passed to MultiGovernor::Admit (0 = governor default).
   uint64_t admit_timeout_ms = 0;
@@ -171,30 +167,19 @@ struct ShardedRunStats {
 };
 
 /// Runs `query` sharded across every live device of `group` on
-/// `backend_name` instances (one per device, each on its own host thread).
-/// Throws std::invalid_argument when the backend is not concurrency-safe and
-/// the group has more than one device, and std::runtime_error when a
-/// device's admission is rejected. A 1-device group delegates to RunGoverned
-/// (force_shards becomes force_partitions), so its simulated timeline is
-/// bit-identical to the governed single-device path. A device lost mid-run
-/// is marked dead in the group and its unfinished slices complete on the
-/// survivors (see the file comment); gpusim::DeviceLost escapes only when
-/// every device of the group is dead.
+/// `backend_name` instances (one per device). Throws std::invalid_argument
+/// when the backend is not concurrency-safe and more than one device has
+/// work, and std::runtime_error when a device's admission is rejected. On a
+/// 1-device group the simulated timeline is bit-identical to RunGoverned
+/// with force_partitions = force_shards. A device lost mid-run is marked
+/// dead in the group and its unfinished slices complete on the survivors
+/// (see the file comment); gpusim::DeviceLost escapes only when every device
+/// of the group is dead.
 TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
                            gpusim::DeviceGroup& group,
                            const std::string& backend_name,
                            const ShardedQueryOptions& options = {},
                            ShardedRunStats* stats = nullptr);
-
-/// Adapts RunSharded for core::QueryScheduler submission: the sharded run
-/// executes on the client thread (spawning its own device threads) and the
-/// client's stream is advanced by the run's makespan, so scheduler latency
-/// percentiles see the multi-device query at its true simulated cost.
-core::QueryFn MakeShardedQuery(TpchQuery query, TpchHostTables tables,
-                               gpusim::DeviceGroup& group,
-                               ShardedQueryOptions options = {},
-                               TpchQueryResult* out = nullptr,
-                               ShardedRunStats* stats = nullptr);
 
 }  // namespace plan
 

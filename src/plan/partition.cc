@@ -12,7 +12,6 @@
 #include "core/resilience.h"
 #include "gpusim/device.h"
 #include "gpusim/fault.h"
-#include "gpusim/trace.h"
 #include "plan/executor.h"
 #include "plan/optimizer.h"
 #include "plan/partition_detail.h"
@@ -291,35 +290,6 @@ uint64_t FootprintOfPlan(const PhysicalPlan& phys, bool include_scans) {
   return (include_scans ? scan_bytes : 0) + 2 * intermediate_bytes;
 }
 
-}  // namespace detail
-
-namespace {
-
-void Emit(const GovernedQueryOptions& options, gpusim::Stream& stream,
-          PressureEvent::Kind kind, std::string detail, uint64_t bytes,
-          size_t partitions) {
-  gpusim::Tracer* tracer = stream.device().tracer();
-  if (tracer != nullptr) {
-    gpusim::TraceEvent e;
-    e.name = std::string(PressureEventKindName(kind)) + ": " + detail;
-    e.category = "memory";
-    e.start_ns = stream.now_ns();
-    e.stream_id = stream.id();
-    tracer->Record(std::move(e));
-  }
-  if (!options.on_event) return;
-  PressureEvent event;
-  event.kind = kind;
-  event.detail = std::move(detail);
-  event.bytes = bytes;
-  event.partitions = partitions;
-  options.on_event(event);
-}
-
-}  // namespace
-
-namespace detail {
-
 /// Host bytes the marked fetch/reduce nodes downloaded from the device.
 uint64_t DownloadedBytes(const QueryPlanBundle& bundle,
                          const ExecutionResult& res) {
@@ -347,15 +317,12 @@ uint64_t HostTableBytes(const storage::Table& t) {
   return bytes;
 }
 
-}  // namespace detail
-
-namespace detail {
-
 void RunSlices(const QuerySpec& spec, const TpchHostTables& tables,
-               core::Backend& backend, const SliceOptions& options,
+               core::Backend& backend, const QueryEncodings* encodings,
                const std::vector<RowRange>& ranges, size_t* next, Partial& acc,
                uint64_t* broadcast_bytes,
                const std::function<void(const SliceDone&)>& on_slice) {
+  constexpr int kUploadAttempts = 4;
   gpusim::Stream& stream = backend.stream();
   const PerTable<const storage::Table*> host = HostTablesByRole(tables);
   // Tables not `analyzed` (lineitem slices) choose their own encodings.
@@ -363,12 +330,12 @@ void RunSlices(const QuerySpec& spec, const TpchHostTables& tables,
   const auto upload = [&](const storage::Table& t, TpchTable role,
                           bool analyzed, uint64_t* bytes) {
     const Choices* choices =
-        analyzed && options.encodings != nullptr
-            ? &(*options.encodings)[static_cast<size_t>(role)]
+        analyzed && encodings != nullptr
+            ? &(*encodings)[static_cast<size_t>(role)]
             : nullptr;
     for (int attempt = 1;; ++attempt) {
       try {
-        if (options.use_encoding) {
+        if (encodings != nullptr) {
           return storage::UploadTableEncoded(stream, t, bytes, choices);
         }
         *bytes = HostTableBytes(t);
@@ -377,9 +344,8 @@ void RunSlices(const QuerySpec& spec, const TpchHostTables& tables,
         // Transient wire faults replay the upload, mirroring the executor's
         // node-replay policy; simulated time of failed attempts stays
         // charged. DeviceLost is sticky and escapes to the caller.
-        if (options.upload_attempts <= 1) throw;
         core::ResilienceManager::Global().NoteFaultSeen();
-        if (attempt >= options.upload_attempts) throw;
+        if (attempt >= kUploadAttempts) throw;
         core::ResilienceManager::Global().NoteRetry(0);
       }
     }
@@ -406,19 +372,21 @@ void RunSlices(const QuerySpec& spec, const TpchHostTables& tables,
   OptimizerOptions opt;
   opt.pin_backend = backend.name();
   const storage::Table& lineitem_host = *tables.lineitem;
+  const bool whole_table =
+      ranges.size() == 1 &&
+      ranges[0] == RowRange(0, lineitem_host.num_rows());
   for (; *next < ranges.size(); ++*next) {
     const auto [lo, hi] = ranges[*next];
-    if (!options.whole_table && lo >= hi) continue;
+    if (!whole_table && lo >= hi) continue;
     // The slice's device memory is freed (credited back to any reservation)
     // when this scope ends, before the next slice uploads. With encoding
     // on, it crosses the link at its encoded size.
-    const storage::Table slice = options.whole_table
-                                     ? storage::Table()
-                                     : SliceTable(lineitem_host, lo, hi);
-    const storage::Table& rows = options.whole_table ? lineitem_host : slice;
+    const storage::Table slice =
+        whole_table ? storage::Table() : SliceTable(lineitem_host, lo, hi);
+    const storage::Table& rows = whole_table ? lineitem_host : slice;
     uint64_t slice_bytes = 0;
-    const storage::DeviceTable lineitem = upload(
-        rows, TpchTable::kLineitem, options.whole_table, &slice_bytes);
+    const storage::DeviceTable lineitem =
+        upload(rows, TpchTable::kLineitem, whole_table, &slice_bytes);
     dev[static_cast<size_t>(TpchTable::kLineitem)] = &lineitem;
     const QueryPlanBundle bundle = spec.build(dev, QueryShape());
     const PhysicalPlan phys = Optimize(bundle.plan, opt);
@@ -430,44 +398,6 @@ void RunSlices(const QuerySpec& spec, const TpchHostTables& tables,
 }
 
 }  // namespace detail
-
-namespace {
-
-/// One execution attempt at a fixed partition count. Throws
-/// gpusim::OutOfDeviceMemory when K is still too coarse for the live memory
-/// state; the caller owns the repartitioning ladder. K == 1 runs the whole
-/// table in place and counts no spill.
-TpchQueryResult RunAttempt(const QuerySpec& spec, const TpchHostTables& tables,
-                           core::Backend& backend, size_t k,
-                           const GovernedQueryOptions& options,
-                           const QueryEncodings* encodings,
-                           GovernedRunStats& stats) {
-  SliceOptions slices;
-  slices.use_encoding = options.use_encoding;
-  slices.encodings = encodings;
-  slices.whole_table = k <= 1;
-  const std::vector<RowRange> ranges =
-      PartitionRanges(*tables.lineitem, k, spec.align_orderkey);
-  Partial acc;
-  size_t next = 0;
-  RunSlices(spec, tables, backend, slices, ranges, &next, acc,
-            /*broadcast_bytes=*/nullptr, [&](const SliceDone& s) {
-              if (k <= 1) return;
-              stats.spill_h2d_bytes += s.h2d_bytes;
-              stats.spill_d2h_bytes += s.d2h_bytes;
-              Emit(options, backend.stream(), PressureEvent::Kind::kSpill,
-                   "partition " + std::to_string(s.index) + "/" +
-                       std::to_string(k) + " rows [" +
-                       std::to_string(s.rows.first) + ", " +
-                       std::to_string(s.rows.second) + ") h2d " +
-                       std::to_string(s.h2d_bytes) + " B, d2h " +
-                       std::to_string(s.d2h_bytes) + " B",
-                   s.h2d_bytes + s.d2h_bytes, k);
-            });
-  return spec.finalize(acc, QueryShape());
-}
-
-}  // namespace
 
 const char* PressureEventKindName(PressureEvent::Kind kind) {
   switch (kind) {
@@ -536,93 +466,15 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
                             core::Backend& backend,
                             const GovernedQueryOptions& options,
                             GovernedRunStats* stats) {
-  if (!options.use_encoding) {
-    return RunGovernedAnalyzed(query, tables, backend, options, stats,
-                               nullptr);
-  }
-  const QueryEncodings enc = AnalyzeQueryTables(GetQuerySpec(query), tables);
-  return RunGovernedAnalyzed(query, tables, backend, options, stats, &enc);
-}
-
-namespace detail {
-
-TpchQueryResult RunGovernedAnalyzed(TpchQuery query,
-                                    const TpchHostTables& tables,
-                                    core::Backend& backend,
-                                    const GovernedQueryOptions& options,
-                                    GovernedRunStats* stats,
-                                    const QueryEncodings* encodings) {
-  const QuerySpec& spec = GetQuerySpec(query);
-  RequireTables(spec, tables);
-  gpusim::Stream& stream = backend.stream();
-  gpusim::Device& device = stream.device();
-  const size_t max_k =
-      options.max_partitions == 0 ? 256 : options.max_partitions;
-
+  ShardedQueryOptions one_device;
+  one_device.force_shards = options.force_partitions;
+  one_device.use_encoding = options.use_encoding;
   GovernedRunStats local;
-  GovernedRunStats& st = stats != nullptr ? *stats : local;
-  st = GovernedRunStats();
-
-  const uint64_t footprint =
-      EstimateFootprint(spec, tables, backend.name(), 1, encodings);
-  const uint64_t grant = device.ReservationRemaining(stream.id());
-  const uint64_t budget = grant > 0 ? grant : device.memory_capacity();
-  st.footprint_bytes = footprint;
-  st.grant_bytes = grant;
-
-  size_t k = 1;
-  if (options.force_partitions > 0) {
-    k = options.force_partitions;
-  } else {
-    uint64_t at_k = footprint;
-    while (k < max_k && at_k > budget) {
-      k *= 2;
-      at_k = EstimateFootprint(spec, tables, backend.name(), k, encodings);
-    }
-    k = std::min(k, max_k);
-  }
-  Emit(options, stream, PressureEvent::Kind::kAdmission,
-       std::string(spec.name) + " footprint " +
-           std::to_string(footprint) + " B, budget " +
-           std::to_string(budget) + " B (" +
-           (grant > 0 ? "granted" : "ungoverned") + ") -> " +
-           std::to_string(k) + " partition(s)",
-       budget, k);
-
-  // Bind this thread's allocations to the stream's admission reservation
-  // (no-op without one): every pool-miss upload/intermediate below draws
-  // from the grant instead of racing concurrent clients for capacity.
-  gpusim::Device::ReservationScope scope(device, stream.id());
-  const uint64_t sim_start = stream.now_ns();
-  for (;;) {
-    if (k > 1) {
-      Emit(options, stream, PressureEvent::Kind::kPartition,
-           std::string(spec.name) + " executing in " +
-               std::to_string(k) + " row-range partitions",
-           0, k);
-    }
-    try {
-      st.spill_h2d_bytes = 0;  // an abandoned attempt's traffic is not spill
-      st.spill_d2h_bytes = 0;
-      TpchQueryResult result =
-          RunAttempt(spec, tables, backend, k, options, encodings, st);
-      st.partitions = k;
-      st.simulated_ns = stream.now_ns() - sim_start;
-      return result;
-    } catch (const gpusim::OutOfDeviceMemory&) {
-      device.TrimPool();
-      if (options.force_partitions > 0 || k >= max_k) throw;
-      k = std::min(max_k, k * 2);
-      ++st.oom_fallbacks;
-      Emit(options, stream, PressureEvent::Kind::kFallback,
-           std::string(spec.name) +
-               " hit device OOM; repartitioning to " + std::to_string(k),
-           0, k);
-    }
-  }
+  ShardedRunStats unused;
+  return RunPartitioned(GetQuerySpec(query), tables, /*group=*/nullptr,
+                        &backend, backend.name(), one_device, options.on_event,
+                        stats != nullptr ? *stats : local, unused);
 }
-
-}  // namespace detail
 
 core::QueryFn MakeGovernedQuery(TpchQuery query, TpchHostTables tables,
                                 GovernedQueryOptions options,

@@ -8,6 +8,8 @@
 // sliced upload, and per-partition partials merge host-side. Host tables
 // stay the source of truth, so the only extra cost is the priced
 // host<->device traffic of the slices and partial downloads ("spill" bytes).
+// RunGoverned is the one-device entry of the partitioned runner that also
+// runs RunSharded (plan/exchange.h): K slices on one device instead of D.
 //
 // Correctness: partials (the query registry's mark-driven Partial,
 // plan/query_spec.h) merge by addition (Q1/Q4/Q6/Q14 sums and counts) or
@@ -96,8 +98,6 @@ struct GovernedQueryOptions {
   /// Skip grant-driven sizing and use exactly this many partitions (0 =
   /// derive from the grant). Used by the timing-invariance golden test.
   size_t force_partitions = 0;
-  /// Upper bound on the repartitioning ladder; past it OOM propagates.
-  size_t max_partitions = 256;
   /// Observer for admission/partition/spill events; may be null. Called on
   /// the executing thread.
   std::function<void(const PressureEvent&)> on_event;
@@ -119,13 +119,14 @@ struct GovernedRunStats {
   uint64_t simulated_ns = 0;     ///< stream-timeline delta of the whole run
 };
 
-/// Runs `query` on `backend`, degrading to partitioned execution when the
-/// stream's admission grant (gpusim::Device::ReservationRemaining) — or, for
-/// ungoverned streams, the device capacity — is smaller than the estimated
-/// footprint. Recurring OutOfDeviceMemory doubles K and restarts (the
-/// partials accumulated so far are discarded; queries are idempotent) until
-/// max_partitions, then propagates. K == 1 is byte-for-byte the ordinary
-/// unpartitioned plan execution.
+/// Runs `query` on `backend`, inline on the calling thread, degrading to
+/// partitioned execution when the stream's admission grant
+/// (gpusim::Device::ReservationRemaining) — or, for ungoverned streams, the
+/// device capacity — is smaller than the estimated footprint. Recurring
+/// OutOfDeviceMemory doubles K and restarts (the partials accumulated so far
+/// are discarded; queries are idempotent) up to 256 partitions, then
+/// propagates. A transient TransferFault on an upload replays it. K == 1 is
+/// byte-for-byte the ordinary unpartitioned plan execution.
 TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
                             core::Backend& backend,
                             const GovernedQueryOptions& options = {},

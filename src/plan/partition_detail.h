@@ -1,15 +1,13 @@
-// Shared internals of the partitioned execution paths.
+// Internals of the partitioned runner.
 //
-// plan/partition.cc (single-device spill-to-host execution) and
-// plan/exchange.cc (multi-device sharded execution) run the same slice
-// pipeline: RunSlices uploads a query's build-side tables, then for each
-// lineitem row range uploads the rows, builds the query's plan
-// (plan/query_spec.h), optimizes it pinned to the backend, runs it, and
-// folds the marked results into a Partial. Spill calls it once per attempt
-// with K ranges on one device; sharding calls it once per device with that
-// device's ranges. K=1 is the same call over the whole host table. These
-// helpers are implementation detail: no stability promises, not part of the
-// plan/ public API.
+// RunGoverned (plan/partition.h) and RunSharded (plan/exchange.h) are thin
+// entries over one driver, RunPartitioned: K lineitem row ranges placed on D
+// devices (D = 1 for a governed run), each device running its ranges through
+// RunSlices. RunSlices uploads a query's build-side tables, then for each
+// range uploads the rows, builds the query's plan (plan/query_spec.h),
+// optimizes it pinned to the backend, runs it, and folds the marked results
+// into a Partial. These helpers are implementation detail: no stability
+// promises, not part of the plan/ public API.
 #ifndef PLAN_PARTITION_DETAIL_H_
 #define PLAN_PARTITION_DETAIL_H_
 
@@ -20,6 +18,8 @@
 #include <vector>
 
 #include "core/backend.h"
+#include "gpusim/device_group.h"
+#include "plan/exchange.h"
 #include "plan/optimizer.h"
 #include "plan/partition.h"
 #include "plan/query_spec.h"
@@ -74,19 +74,6 @@ uint64_t EstimateFootprint(const QuerySpec& spec, const TpchHostTables& tables,
                            const std::string& backend_name, size_t partitions,
                            const QueryEncodings* encodings);
 
-/// How RunSlices uploads.
-struct SliceOptions {
-  bool use_encoding = false;
-  /// Whole-table encoding choices (non-null exactly when use_encoding).
-  const QueryEncodings* encodings = nullptr;
-  /// The unpartitioned run: `ranges` is the single whole-table range, which
-  /// runs even when empty and uploads the host table itself with its
-  /// analyzed choices instead of a sliced copy.
-  bool whole_table = false;
-  /// Attempts per upload; above 1 a transient TransferFault replays it.
-  int upload_attempts = 1;
-};
-
 /// One finished slice, for the caller's accounting.
 struct SliceDone {
   size_t index = 0;       ///< position in `ranges`
@@ -100,24 +87,44 @@ struct SliceDone {
 /// to their upload bytes. Then for each range from ranges[*next] on: uploads
 /// those lineitem rows, builds the plan, optimizes it pinned to `backend`,
 /// runs it, folds the result into `acc` and reports it to `on_slice`. Empty
-/// ranges (an orderkey-snapped boundary emptied them) are skipped. Each
-/// slice's device memory is freed before the next one uploads. `*next`
+/// ranges (an orderkey-snapped boundary emptied them) are skipped, except a
+/// single range covering the whole table: that one runs even when empty and
+/// uploads the host table itself instead of a sliced copy. Each slice's
+/// device memory is freed before the next one uploads. A transient
+/// TransferFault replays the upload a bounded number of times. `*next`
 /// advances past every finished range, so after a throw it indexes the range
 /// in flight.
+///
+/// `encodings` (null = raw uploads) holds the whole-table choices of
+/// AnalyzeQueryTables: build sides and a whole-table lineitem upload with
+/// them, while each lineitem slice analyzes itself.
 void RunSlices(const QuerySpec& spec, const TpchHostTables& tables,
-               core::Backend& backend, const SliceOptions& options,
+               core::Backend& backend, const QueryEncodings* encodings,
                const std::vector<RowRange>& ranges, size_t* next, Partial& acc,
                uint64_t* broadcast_bytes,
                const std::function<void(const SliceDone&)>& on_slice);
 
-/// RunGoverned over already analyzed tables (`encodings` non-null exactly
-/// when options.use_encoding).
-TpchQueryResult RunGovernedAnalyzed(TpchQuery query,
-                                    const TpchHostTables& tables,
-                                    core::Backend& backend,
-                                    const GovernedQueryOptions& options,
-                                    GovernedRunStats* stats,
-                                    const QueryEncodings* encodings);
+/// The one placement rule: slice i lands on devices[i % devices.size()],
+/// so with every device of a group alive slice i runs on device i % D.
+/// Throws gpusim::DeviceLost when `devices` is empty.
+std::vector<int> PlaceRanges(size_t slices, const std::vector<int>& devices);
+
+/// The partitioned runner behind RunGoverned and RunSharded. Runs `spec`
+/// over one device per entry of `group`, each with a registry instance of
+/// `backend_name`, or, with `group` null, on `borrowed`'s device with
+/// `borrowed` itself. Sizes K (options.force_shards, else one slice per
+/// device; on one device doubled while the slice footprint exceeds the
+/// stream's grant or the device's capacity), places the slices, runs them
+/// (inline when one device has work, one host thread per device
+/// otherwise), admits each device against options.governor, doubles K on
+/// OutOfDeviceMemory, re-deals the unfinished slices of lost devices, and
+/// gathers the partials. Fills both views of the run's accounting.
+TpchQueryResult RunPartitioned(
+    const QuerySpec& spec, const TpchHostTables& tables,
+    gpusim::DeviceGroup* group, core::Backend* borrowed,
+    const std::string& backend_name, const ShardedQueryOptions& options,
+    const std::function<void(const PressureEvent&)>& on_event,
+    GovernedRunStats& governed, ShardedRunStats& sharded);
 
 }  // namespace detail
 }  // namespace plan

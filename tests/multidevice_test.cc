@@ -413,6 +413,27 @@ TEST_F(MultiDeviceQueryTest, NonConcurrencySafeBackendIsRejected) {
   VerifyAgainstReference(TpchQuery::kQ6, result);
 }
 
+TEST_F(MultiDeviceQueryTest, ClampedDevicesLadderPastTheShardFootprint) {
+  // Every device's capacity sits well below one shard's footprint: the
+  // first attempt runs out of memory, and the sharded run doubles K and
+  // restarts, as a governed run does on one device.
+  for (const TpchQuery q : {TpchQuery::kQ3, TpchQuery::kQ6}) {
+    SCOPED_TRACE(plan::TpchQueryName(q));
+    gpusim::DeviceGroup group(2);
+    const uint64_t per_shard = plan::EstimateQueryFootprint(
+        q, Tables(), backends::kHandwritten, /*partitions=*/2);
+    for (int d = 0; d < group.size(); ++d) {
+      group.device(d).set_memory_capacity(per_shard / 3);
+    }
+    plan::ShardedRunStats stats;
+    const plan::TpchQueryResult result = plan::RunSharded(
+        q, Tables(), group, backends::kHandwritten, {}, &stats);
+    VerifyAgainstReference(q, result);
+    EXPECT_GT(stats.shards, 2u);
+    EXPECT_EQ(stats.devices_lost, 0);
+  }
+}
+
 TEST_F(MultiDeviceQueryTest, CrossIslandShardsRouteExchangesViaHost) {
   gpusim::GroupTopology topo;
   topo.peer_island_size = 2;  // devices {0,1} and {2,3} are separate islands

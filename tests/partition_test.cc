@@ -15,6 +15,7 @@
 #include "backends/backends.h"
 #include "core/registry.h"
 #include "gpusim/device.h"
+#include "gpusim/fault.h"
 #include "plan/partition.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
@@ -262,6 +263,31 @@ TEST_F(PartitionTest, PartitionedRunSimulatedTimeIsBitIdentical) {
   EXPECT_EQ(first.spill_h2d_bytes, second.spill_h2d_bytes);
   EXPECT_EQ(first.spill_d2h_bytes, second.spill_d2h_bytes);
   EXPECT_EQ(r1.scalar, r2.scalar);
+}
+
+TEST_F(PartitionTest, TransientUploadFaultIsReplayed) {
+  // The first host->device transfer of the run faults once; the upload
+  // replays it instead of failing the query.
+  gpusim::FaultInjector injector(7);
+  gpusim::FaultRule rule;
+  rule.site = gpusim::FaultSite::kTransfer;
+  rule.kind = gpusim::FaultKind::kTransfer;
+  rule.at_call = 1;
+  rule.max_fires = 1;
+  injector.AddRule(rule);
+  auto backend = MakeBackend();
+  gpusim::Device::Default().set_fault_injector(&injector);
+  TpchQueryResult result;
+  bool threw = false;
+  try {
+    result = RunGoverned(TpchQuery::kQ6, Tables(), *backend);
+  } catch (const gpusim::TransferFault&) {
+    threw = true;
+  }
+  gpusim::Device::Default().set_fault_injector(nullptr);
+  EXPECT_FALSE(threw);
+  EXPECT_EQ(injector.stats().injected_transfer, 1u);
+  EXPECT_TRUE(Near(result.scalar, tpch::ReferenceQ6(*lineitem_)));
 }
 
 TEST_F(PartitionTest, ParseTpchQueryRoundTripsAndRejectsUnknown) {
