@@ -1,14 +1,16 @@
 // Chaos harness: resilience of the query layer under injected device faults.
 //
-// Drives N scheduler clients through the five TPC-H queries while a seeded
+// Drives N scheduler clients through the five TPC-H queries while a
 // gpusim::FaultInjector fires transient kernel faults, transfer faults, and
-// one device-OOM into the hot paths. The fault schedule is transient-only
-// and budgeted below the scheduler's retry budget, so a correct resilience
-// layer must finish every query with the right answer — the harness exits
-// non-zero if any query fails permanently (exit 2), any answer drifts from
-// the host reference (exit 3), or a fault-free run after the chaos storm is
-// not bit-identical in simulated time to the pre-storm golden run (exit 4:
-// fault handling leaked into the cost model).
+// one device-OOM into the hot paths. The storm's rules are every-N per
+// stream (every 40th kernel launch, every 6th transfer), capped below the
+// retry budget, so a correct resilience layer must finish every query with
+// the right answer — the harness exits non-zero if any query fails
+// permanently (exit 2), any answer drifts from the host reference (exit 3),
+// a fault-free run after the chaos storm is not bit-identical in simulated
+// time to the pre-storm golden run (exit 4: fault handling leaked into the
+// cost model), or the storm injected fewer than 20 faults (exit 6: it
+// tested too little).
 //
 // Before the storm, a one-client burst phase puts the scheduler's own retry
 // under test: three consecutive kernel faults outlast the executor's node
@@ -80,6 +82,9 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
   }
   return opts->clients > 0 && opts->per_client > 0;
 }
+
+/// The storm must inject at least this many faults.
+constexpr uint64_t kMinStormFaults = 20;
 
 const char* const kKinds[] = {"q1", "q3", "q4", "q6", "q14"};
 constexpr size_t kNumKinds = 5;
@@ -220,23 +225,26 @@ int Run(const Options& opts) {
               static_cast<unsigned long long>(burst.stats().injected_kernel),
               burst_retried, kNumKinds, burst_max_attempts);
 
-  // Transient-only fault plan, budgeted below the retry budget: at most 4
-  // kernel faults + 3 transfer faults (worst case all land on one query:
-  // 8 attempts < max_attempts) plus one device OOM, which the scheduler
-  // absorbs with a pool reclaim instead of an attempt.
+  // Transient-only fault plan. Every-N rules count per stream, and no
+  // Handwritten node launches 40 kernels or issues 6 transfers, so the
+  // executor's node replay absorbs most faults. A query attempt fails only
+  // after 3 faults in one node, so failing one query's 10 attempts takes 30
+  // fires; the caps allow 28 (12 kernel + 16 transfer). Plus one device
+  // OOM, which the scheduler absorbs with a pool reclaim instead of an
+  // attempt.
   gpusim::FaultInjector injector(opts.seed);
   {
     gpusim::FaultRule kernel_rule;
     kernel_rule.site = gpusim::FaultSite::kKernel;
     kernel_rule.kind = gpusim::FaultKind::kTransientKernel;
-    kernel_rule.probability = 0.0015;
-    kernel_rule.max_fires = 4;
+    kernel_rule.every_calls = 40;
+    kernel_rule.max_fires = 12;
     injector.AddRule(kernel_rule);
     gpusim::FaultRule transfer_rule;
     transfer_rule.site = gpusim::FaultSite::kTransfer;
     transfer_rule.kind = gpusim::FaultKind::kTransfer;
-    transfer_rule.probability = 0.0015;
-    transfer_rule.max_fires = 3;
+    transfer_rule.every_calls = 6;
+    transfer_rule.max_fires = 16;
     injector.AddRule(transfer_rule);
     gpusim::FaultRule oom_rule;
     oom_rule.site = gpusim::FaultSite::kMalloc;
@@ -281,13 +289,15 @@ int Run(const Options& opts) {
     max_attempts_seen = std::max(max_attempts_seen, q.attempts);
   }
 
+  const uint64_t storm_floor = kMinStormFaults;
   std::printf("fault schedule:   %llu injected (%llu kernel, %llu transfer, "
-              "%llu oom) over %llu checks\n",
+              "%llu oom) over %llu checks; floor %llu\n",
               static_cast<unsigned long long>(fstats.injected_total()),
               static_cast<unsigned long long>(fstats.injected_kernel),
               static_cast<unsigned long long>(fstats.injected_transfer),
               static_cast<unsigned long long>(fstats.injected_oom),
-              static_cast<unsigned long long>(fstats.checks));
+              static_cast<unsigned long long>(fstats.checks),
+              static_cast<unsigned long long>(storm_floor));
   std::printf("recovery:         %llu faults seen, %llu retries "
               "(%.3f ms backoff), %llu pool reclaims, %llu reroutes\n",
               static_cast<unsigned long long>(res.faults_seen),
@@ -352,7 +362,8 @@ int Run(const Options& opts) {
         << ", \"transfer\": " << fstats.injected_transfer
         << ", \"oom\": " << fstats.injected_oom
         << ", \"device_lost\": " << fstats.injected_device_lost
-        << ", \"checks\": " << fstats.checks << "},\n"
+        << ", \"checks\": " << fstats.checks
+        << ", \"floor\": " << storm_floor << "},\n"
         << "  \"resilience\": {\"faults_seen\": " << res.faults_seen
         << ", \"retries\": " << res.retries
         << ", \"backoff_ns\": " << res.backoff_ns
@@ -381,6 +392,13 @@ int Run(const Options& opts) {
                  "SCHEDULER RETRY UNTESTED: no query of the burst phase "
                  "needed a second attempt\n");
     return 5;
+  }
+  if (fstats.injected_total() < storm_floor) {
+    std::fprintf(stderr,
+                 "STORM TOO WEAK: %llu faults injected, fewer than %llu\n",
+                 static_cast<unsigned long long>(fstats.injected_total()),
+                 static_cast<unsigned long long>(storm_floor));
+    return 6;
   }
   return 0;
 }

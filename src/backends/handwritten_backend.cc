@@ -4,6 +4,7 @@
 // aggregation and joins use hash tables — the operators Table II shows no
 // library supports. This backend is what the paper's "handwritten operator
 // implementations" compare against.
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <limits>
@@ -61,6 +62,52 @@ struct PredEval {
 };
 
 constexpr size_t kMaxFusedPredicates = 8;
+constexpr size_t kMaxGroupAggregates = 8;
+
+/// One aggregate's per-row input, readable inside kernels (no virtual
+/// dispatch). Accumulators are doubles: counts stay exact to 2^53.
+struct AggInput {
+  DataType type = DataType::kFloat64;
+  const void* data = nullptr;
+  AggOp op = AggOp::kSum;
+
+  double Value(size_t row) const {
+    if (op == AggOp::kCount) return 1.0;
+    switch (type) {
+      case DataType::kInt32:
+        return static_cast<double>(static_cast<const int32_t*>(data)[row]);
+      case DataType::kInt64:
+        return static_cast<double>(static_cast<const int64_t*>(data)[row]);
+      case DataType::kFloat64:
+        return static_cast<const double*>(data)[row];
+      case DataType::kFloat32:
+        return static_cast<double>(static_cast<const float*>(data)[row]);
+    }
+    return 0.0;
+  }
+
+  double Identity() const {
+    if (op == AggOp::kMin) return std::numeric_limits<double>::max();
+    if (op == AggOp::kMax) return std::numeric_limits<double>::lowest();
+    return 0.0;
+  }
+
+  double Combine(double a, double b) const {
+    if (op == AggOp::kMin) return b < a ? b : a;
+    if (op == AggOp::kMax) return a < b ? b : a;
+    return a + b;
+  }
+
+  /// Device bytes one row of this input reads (counts read nothing).
+  uint64_t RowBytes() const {
+    return op == AggOp::kCount ? 0 : storage::DataTypeSize(type);
+  }
+};
+
+/// The accumulators of one group, one lane per aggregate.
+struct AggLanes {
+  std::array<double, kMaxGroupAggregates> lane{};
+};
 
 class HandwrittenBackend : public core::Backend {
  public:
@@ -283,126 +330,30 @@ class HandwrittenBackend : public core::Backend {
     return out;
   }
 
-  /// Encoded group keys over a small dense code domain (Q1's dictionary- or
-  /// bit-packed l_rfls): ONE combining pass into a domain-sized dense table —
-  /// no hash probes, no flag/scan/compact pipeline, and no count readback,
-  /// since every code is a group (absent codes come back with identity
-  /// aggregates, as the interface allows). Each chunk pre-aggregates its
-  /// codes privately, so the dense table sees one atomic per code per chunk.
-  /// Wide or RLE key domains fall back to the decode-then-hash default.
-  GroupByResult GroupByAggregateEncoded(
-      const storage::EncodedDeviceColumn& keys,
-      const SelectionResult& rows, const DeviceColumn& values,
-      AggOp op) override {
-    const bool dict = keys.encoding == storage::Encoding::kDictionary;
-    const bool packed = keys.encoding == storage::Encoding::kBitPack ||
-                        keys.encoding == storage::Encoding::kFor;
-    size_t domain = 0;
-    if (dict) {
-      domain = keys.host_dict_i64.size();
-    } else if (packed && keys.bit_width <= 12) {
-      domain = size_t{1} << keys.bit_width;
+  /// Every aggregate in one pass (Crystal's single-pass Q1). Encoded keys
+  /// over a small dense code domain (Q1's dictionary-encoded l_rfls) group
+  /// on their codes: no key gather, no hash table, and no group-count
+  /// readback, since every code owns a slot. Other keys build one hash table
+  /// and map each row to its group. Either way the keys and all N
+  /// aggregates land in one packed buffer, fetched with one download. One
+  /// aggregate over raw keys (Q3, Q4) stays the plain GroupByAggregate.
+  core::GroupedAggregates GroupByAggregates(
+      const core::GroupKeys& keys,
+      const std::vector<core::Aggregate>& aggs) override {
+    if (aggs.empty() || aggs.size() > kMaxGroupAggregates ||
+        (keys.enc == nullptr && aggs.size() == 1)) {
+      return core::Backend::GroupByAggregates(keys, aggs);
     }
-    if (keys.type != DataType::kInt32 || domain == 0 || domain > 4096) {
-      return core::Backend::GroupByAggregateEncoded(keys, rows, values, op);
+    std::vector<AggInput> inputs;
+    for (const core::Aggregate& a : aggs) {
+      inputs.push_back(AggInput{a.values->type(), a.values->raw_data(), a.op});
     }
-
-    const size_t n = rows.count;
-    const int32_t* row_ids = n > 0 ? rows.row_ids.data<int32_t>() : nullptr;
-    const uint64_t* words = keys.words_data();
-    const unsigned bits = keys.bit_width;
-    const uint64_t key_bytes = (bits + 7) / 8;
-    const auto code_of = [=](size_t i) {
-      return storage::UnpackBit(words, bits, static_cast<size_t>(row_ids[i]));
-    };
-
-    GroupByResult out;
-    out.num_groups = domain;
-
-    // Group keys: dictionary entries are already device-resident at the
-    // logical type; packed domains materialize reference + code.
-    out.keys = DeviceColumn(DataType::kInt32, domain, device());
-    if (dict) {
-      gpusim::CopyDeviceToDevice(stream_, out.keys.raw_data(),
-                                 keys.dict.raw_data(),
-                                 domain * sizeof(int32_t));
-    } else {
-      int32_t* kp = out.keys.data<int32_t>();
-      const int64_t reference = keys.reference;
-      gpusim::KernelStats kstats;
-      kstats.name = "hw::dense_group_keys";
-      kstats.bytes_written = domain * sizeof(int32_t);
-      gpusim::ParallelFor(stream_, domain, kstats, [=](size_t g) {
-        kp[g] = static_cast<int32_t>(reference + static_cast<int64_t>(g));
-      });
+    if (keys.enc == nullptr) return HashGroupBy(*keys.raw, inputs);
+    const size_t domain = core::DenseCodeDomain(*keys.enc);
+    if (domain == 0) {
+      return HashGroupBy(GatherDecode(*keys.enc, *keys.rows), inputs);
     }
-
-    if (op == AggOp::kCount) {
-      gpusim::DeviceArray<int64_t> sums(domain, device());
-      gpusim::Fill(stream_, sums.data(), domain, int64_t{0});
-      gpusim::KernelStats stats;
-      stats.name = "hw::dense_group_count";
-      stats.bytes_read = n * (sizeof(int32_t) + key_bytes);
-      stats.bytes_written = n * sizeof(int64_t);
-      stats.ops = 2 * n;
-      int64_t* sp = sums.data();
-      const auto add = [](int64_t a, int64_t b) { return a + b; };
-      gpusim::ParallelForChunks(
-          stream_, n, stats, [=](size_t begin, size_t end) {
-            handwritten::PrivatizedGroupReduce<uint64_t, int64_t>(
-                begin, end, code_of, [](size_t) { return int64_t{1}; }, add,
-                [=](uint64_t code, int64_t c) {
-                  gpusim::detail::AtomicCombine(&sp[code], c, add);
-                });
-          });
-      DeviceColumn agg(DataType::kInt64, domain, device());
-      gpusim::CopyDeviceToDevice(stream_, agg.raw_data(), sums.data(),
-                                 domain * sizeof(int64_t));
-      out.aggregate = std::move(agg);
-      return out;
-    }
-
-    // Sum/min/max accumulate straight into the f64 aggregate layout the
-    // hash realization also produces (no separate conversion kernel).
-    gpusim::DeviceArray<double> sums(domain, device());
-    double identity = 0.0;
-    if (op == AggOp::kMin) identity = std::numeric_limits<double>::max();
-    if (op == AggOp::kMax) identity = std::numeric_limits<double>::lowest();
-    gpusim::Fill(stream_, sums.data(), domain, identity);
-    BACKENDS_DISPATCH(values.type(), {
-      const T* pv = n > 0 ? values.data<T>() : nullptr;
-      const AggOp aop = op;
-      gpusim::KernelStats stats;
-      stats.name = "hw::dense_group_reduce";
-      stats.bytes_read = n * (sizeof(int32_t) + key_bytes + sizeof(T));
-      stats.bytes_written = n * sizeof(double);
-      stats.ops = 3 * n;
-      double* sp = sums.data();
-      const auto combine = [aop](double a, double b) {
-        switch (aop) {
-          case AggOp::kMin:
-            return b < a ? b : a;
-          case AggOp::kMax:
-            return a < b ? b : a;
-          default:
-            return a + b;
-        }
-      };
-      gpusim::ParallelForChunks(
-          stream_, n, stats, [=](size_t begin, size_t end) {
-            handwritten::PrivatizedGroupReduce<uint64_t, double>(
-                begin, end, code_of,
-                [=](size_t i) { return static_cast<double>(pv[i]); },
-                combine, [=](uint64_t code, double v) {
-                  gpusim::detail::AtomicCombine(&sp[code], v, combine);
-                });
-          });
-    });
-    DeviceColumn agg(DataType::kFloat64, domain, device());
-    gpusim::CopyDeviceToDevice(stream_, agg.raw_data(), sums.data(),
-                               domain * sizeof(double));
-    out.aggregate = std::move(agg);
-    return out;
+    return DenseCodeGroupBy(*keys.enc, *keys.rows, inputs, domain);
   }
 
   double ReduceColumn(const DeviceColumn& values, AggOp op) override {
@@ -545,6 +496,199 @@ class HandwrittenBackend : public core::Backend {
 
  private:
   gpusim::Device& device() { return stream_.device(); }
+
+  /// Writes the packed layout's initial slots: `groups` NaN keys (no group
+  /// seen yet), then each aggregate's identity.
+  core::GroupedAggregates PackedSlots(size_t groups,
+                                      const std::vector<AggInput>& inputs) {
+    core::GroupedAggregates out;
+    out.num_groups = groups;
+    out.packed = DeviceColumn(DataType::kFloat64,
+                              groups * (1 + inputs.size()), device());
+    double* slots = out.packed.data<double>();
+    std::array<double, kMaxGroupAggregates + 1> init{};
+    init[0] = std::numeric_limits<double>::quiet_NaN();
+    for (size_t a = 0; a < inputs.size(); ++a) {
+      init[1 + a] = inputs[a].Identity();
+    }
+    gpusim::KernelStats stats;
+    stats.name = "hw::group_slots_init";
+    stats.bytes_written = out.packed.byte_size();
+    gpusim::ParallelFor(stream_, out.packed.size(), stats,
+                        [=](size_t s) { slots[s] = init[s / groups]; });
+    return out;
+  }
+
+  /// The one aggregation pass: row i of [0, n) belongs to group
+  /// group_of(i) < groups. Each chunk folds its rows into a private table
+  /// (PrivatizedGroupReduce) and combines each group it saw into the packed
+  /// slots once, calling on_group(g) first.
+  template <typename GroupOf, typename OnGroup>
+  void AggregateLanes(size_t n, const gpusim::KernelStats& stats,
+                      const std::vector<AggInput>& inputs, size_t groups,
+                      double* slots, GroupOf group_of, OnGroup on_group) {
+    const size_t num = inputs.size();
+    std::array<AggInput, kMaxGroupAggregates> in{};
+    std::copy(inputs.begin(), inputs.end(), in.begin());
+    gpusim::ParallelForChunks(
+        stream_, n, stats, [=](size_t begin, size_t end) {
+          handwritten::PrivatizedGroupReduce<uint32_t, AggLanes>(
+              begin, end, group_of,
+              [=](size_t i) {
+                AggLanes row;
+                for (size_t a = 0; a < num; ++a) row.lane[a] = in[a].Value(i);
+                return row;
+              },
+              [=](const AggLanes& x, const AggLanes& y) {
+                AggLanes sum;
+                for (size_t a = 0; a < num; ++a) {
+                  sum.lane[a] = in[a].Combine(x.lane[a], y.lane[a]);
+                }
+                return sum;
+              },
+              [=](uint32_t g, const AggLanes& acc) {
+                on_group(g);
+                for (size_t a = 0; a < num; ++a) {
+                  const AggInput agg = in[a];
+                  gpusim::detail::AtomicCombine(
+                      &slots[(1 + a) * groups + g], acc.lane[a],
+                      [agg](double x, double y) { return agg.Combine(x, y); });
+                }
+              });
+        });
+  }
+
+  /// Grouping on codes: one init kernel, then one pass reading each
+  /// selected row's packed code and values. A code's key slot is written
+  /// (dictionary entry, or reference + code) the first time a chunk flushes
+  /// it, so codes absent from the selection keep NaN keys.
+  core::GroupedAggregates DenseCodeGroupBy(
+      const storage::EncodedDeviceColumn& keys, const DeviceColumn& rows,
+      const std::vector<AggInput>& inputs, size_t domain) {
+    const size_t n = rows.size();
+    core::GroupedAggregates out = PackedSlots(domain, inputs);
+    double* slots = out.packed.data<double>();
+    const int32_t* row_ids = static_cast<const int32_t*>(rows.raw_data());
+    const uint64_t* words = keys.words_data();
+    const unsigned bits = keys.bit_width;
+    const bool dict = keys.encoding == storage::Encoding::kDictionary;
+    const int32_t* entries = dict ? keys.dict.data<int32_t>() : nullptr;
+    const int64_t reference = keys.reference;
+    gpusim::KernelStats stats;
+    stats.name = "hw::dense_group_aggregate";
+    stats.bytes_read = n * (sizeof(int32_t) + (bits + 7) / 8) +
+                       (dict ? domain * sizeof(int32_t) : 0);
+    for (const AggInput& a : inputs) stats.bytes_read += n * a.RowBytes();
+    stats.bytes_written = handwritten::GroupFlushes(n, domain) *
+                          (1 + inputs.size()) * sizeof(double);
+    stats.ops = n * (1 + inputs.size());
+    AggregateLanes(
+        n, stats, inputs, domain, slots,
+        [=](size_t i) {
+          return static_cast<uint32_t>(storage::UnpackBit(
+              words, bits, static_cast<size_t>(row_ids[i])));
+        },
+        [=](uint32_t code) {
+          const double key =
+              dict ? static_cast<double>(entries[code])
+                   : static_cast<double>(reference + static_cast<int64_t>(code));
+          gpusim::AtomicExchange(&slots[code], key);
+        });
+    return out;
+  }
+
+  /// Grouping on raw keys: ONE hash table under HashGroupByReduce's capacity
+  /// rule, an insert pass recording each row's slot, an in-place scan that
+  /// turns slot flags into group ids, a 4-byte group-count readback, a
+  /// compaction writing keys and identities into group-count-sized slots,
+  /// and the aggregation pass. Device high-water: 8 B per table slot plus
+  /// 4 B per row plus the packed result, never above the per-aggregate
+  /// calls it replaces (one call's 32 B per slot plus N results).
+  core::GroupedAggregates HashGroupBy(const DeviceColumn& keys,
+                                      const std::vector<AggInput>& inputs) {
+    constexpr int32_t kEmpty = std::numeric_limits<int32_t>::max();
+    const size_t n = keys.size();
+    const int32_t* k = static_cast<const int32_t*>(keys.raw_data());
+    const size_t capacity = handwritten::detail::NextPow2(n < 8 ? 16 : 2 * n);
+    const size_t mask = capacity - 1;
+    gpusim::DeviceArray<int32_t> table(capacity, device());
+    gpusim::DeviceArray<uint32_t> group_ids(capacity, device());
+    gpusim::DeviceArray<uint32_t> row_slots(n, device());
+    gpusim::Fill(stream_, table.data(), capacity, kEmpty);
+    int32_t* t = table.data();
+    uint32_t* ids = group_ids.data();
+    uint32_t* rs = row_slots.data();
+    {
+      gpusim::KernelStats stats;
+      stats.name = "hw::group_insert";
+      stats.bytes_read = n * 2 * sizeof(int32_t);
+      stats.bytes_written = n * sizeof(uint32_t);
+      stats.ops = 2 * n;
+      gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
+        const int32_t key = k[i];
+        size_t slot = handwritten::detail::MixHash(static_cast<uint64_t>(key)) &
+                      mask;
+        while (true) {
+          const int32_t stored = gpusim::AtomicLoad(&t[slot]);
+          if (stored == key) break;
+          if (stored == kEmpty) {
+            if (gpusim::AtomicCas(&t[slot], kEmpty, key) == kEmpty) break;
+            continue;
+          }
+          slot = (slot + 1) & mask;
+        }
+        rs[i] = static_cast<uint32_t>(slot);
+      });
+    }
+    {
+      gpusim::KernelStats stats;
+      stats.name = "hw::group_slot_flags";
+      stats.bytes_read = capacity * sizeof(int32_t);
+      stats.bytes_written = capacity * sizeof(uint32_t);
+      gpusim::ParallelFor(stream_, capacity, stats,
+                          [=](size_t s) { ids[s] = t[s] != kEmpty ? 1u : 0u; });
+    }
+    // In place: slot s's flag becomes its 1-based group id.
+    gpusim::InclusiveScan(stream_, ids, ids, capacity,
+                          [](uint32_t a, uint32_t b) { return a + b; });
+    uint32_t groups = 0;
+    gpusim::CopyDeviceToHost(stream_, &groups, ids + (capacity - 1),
+                             sizeof(uint32_t));
+
+    const size_t num = inputs.size();
+    core::GroupedAggregates out;
+    out.num_groups = groups;
+    out.packed = DeviceColumn(DataType::kFloat64, groups * (1 + num), device());
+    double* slots = out.packed.data<double>();
+    std::array<double, kMaxGroupAggregates> identity{};
+    for (size_t a = 0; a < num; ++a) identity[a] = inputs[a].Identity();
+    {
+      gpusim::KernelStats stats;
+      stats.name = "hw::group_compact";
+      stats.bytes_read = capacity * (sizeof(int32_t) + sizeof(uint32_t));
+      stats.bytes_written = out.packed.byte_size();
+      const size_t g_count = groups;
+      gpusim::ParallelFor(stream_, capacity, stats, [=](size_t s) {
+        if (t[s] == kEmpty) return;
+        const size_t g = ids[s] - 1;
+        slots[g] = static_cast<double>(t[s]);
+        for (size_t a = 0; a < num; ++a) {
+          slots[(1 + a) * g_count + g] = identity[a];
+        }
+      });
+    }
+    gpusim::KernelStats stats;
+    stats.name = "hw::group_aggregate";
+    stats.bytes_read = n * 2 * sizeof(uint32_t);
+    for (const AggInput& a : inputs) stats.bytes_read += n * a.RowBytes();
+    stats.bytes_written =
+        handwritten::GroupFlushes(n, groups) * num * sizeof(double);
+    stats.ops = n * (1 + num);
+    AggregateLanes(
+        n, stats, inputs, groups, slots,
+        [=](size_t i) { return ids[rs[i]] - 1; }, [](uint32_t) {});
+    return out;
+  }
 
   DeviceColumn MapScalar(const DeviceColumn& a, double alpha,
                          bool subtract_from) {

@@ -1,6 +1,7 @@
 #include "core/backend.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 
@@ -699,13 +700,67 @@ double Backend::ReduceEncoded(const storage::EncodedDeviceColumn& values,
   return ReduceColumn(DecodeColumn(values), op);
 }
 
-GroupByResult Backend::GroupByAggregateEncoded(
-    const storage::EncodedDeviceColumn& keys, const SelectionResult& rows,
-    const storage::DeviceColumn& values, AggOp op) {
-  // Library pipeline shape: the keys materialize once for the survivors
-  // (reading only packed codes), then the ordinary grouped aggregation
-  // runs — so only the present keys come back as groups.
-  return GroupByAggregate(GatherDecode(keys, rows.row_ids), values, op);
+size_t DenseCodeDomain(const storage::EncodedDeviceColumn& keys) {
+  constexpr size_t kMaxDomain = 4096;
+  if (keys.type != storage::DataType::kInt32) return 0;
+  size_t domain = 0;
+  switch (keys.encoding) {
+    case Encoding::kDictionary:
+      domain = keys.host_dict_i64.size();
+      break;
+    case Encoding::kBitPack:
+    case Encoding::kFor:
+      if (keys.bit_width <= 12) domain = size_t{1} << keys.bit_width;
+      break;
+    case Encoding::kRle:
+    case Encoding::kNone:
+      break;
+  }
+  return domain <= kMaxDomain ? domain : 0;
+}
+
+std::vector<HostAggregate> GroupedAggregates::ToHost(
+    gpusim::Stream& stream, size_t num_aggregates, uint64_t* bytes) const {
+  std::vector<HostAggregate> out;
+  for (const GroupByResult& r : per_aggregate) {
+    HostAggregate host;
+    host.keys = r.keys.ToHost(stream).values<int32_t>();
+    const storage::Column agg = r.aggregate.ToHost(stream);
+    if (r.aggregate.type() == DataType::kInt64) {
+      for (const int64_t v : agg.values<int64_t>()) {
+        host.values.push_back(static_cast<double>(v));
+      }
+    } else {
+      host.values = agg.values<double>();
+    }
+    *bytes += r.keys.byte_size() + r.aggregate.byte_size();
+    out.push_back(std::move(host));
+  }
+  if (!per_aggregate.empty()) return out;
+  const std::vector<double> slots = packed.ToHost(stream).values<double>();
+  *bytes += packed.byte_size();
+  out.resize(num_aggregates);
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (std::isnan(slots[g])) continue;  // a code absent from the rows
+    for (size_t a = 0; a < num_aggregates; ++a) {
+      out[a].keys.push_back(static_cast<int32_t>(slots[g]));
+      out[a].values.push_back(slots[(1 + a) * num_groups + g]);
+    }
+  }
+  return out;
+}
+
+GroupedAggregates Backend::GroupByAggregates(const GroupKeys& keys,
+                                             const std::vector<Aggregate>& aggs) {
+  storage::DeviceColumn decoded;
+  if (keys.enc != nullptr) decoded = GatherDecode(*keys.enc, *keys.rows);
+  const storage::DeviceColumn& k = keys.enc != nullptr ? decoded : *keys.raw;
+  GroupedAggregates out;
+  for (const Aggregate& a : aggs) {
+    out.per_aggregate.push_back(GroupByAggregate(k, *a.values, a.op));
+    out.num_groups = out.per_aggregate.back().num_groups;
+  }
+  return out;
 }
 
 }  // namespace core

@@ -8,6 +8,14 @@
 // (core/registry.h), which is the framework capability the paper describes:
 // "a framework ... that allows a user to plug-in new libraries and
 // custom-written code".
+//
+// Grouped aggregation has two entries. GroupByAggregate is Table II's
+// operator: one aggregate, grouped the way the library must (a sort plus a
+// reduce-by-key, or a hash table). GroupByAggregates takes a list of
+// aggregates over one key column; its default issues one GroupByAggregate
+// per aggregate, the libraries' only option, and a backend that can do
+// better (Handwritten: one pass, optionally over encoded key codes)
+// overrides it.
 #ifndef CORE_BACKEND_H_
 #define CORE_BACKEND_H_
 
@@ -191,6 +199,69 @@ struct GroupByResult {
   size_t num_groups = 0;
 };
 
+/// One aggregate of a multi-aggregate grouped aggregation: `op` over
+/// `values` (kCount ignores the contents).
+struct Aggregate {
+  const storage::DeviceColumn* values = nullptr;
+  AggOp op = AggOp::kSum;
+};
+
+/// The keys of a grouped aggregation: a kInt32 device column, or the rows
+/// `rows` (kInt32 row ids) of an encoded kInt32 column, whose codes a
+/// backend may group on without decoding them.
+struct GroupKeys {
+  const storage::DeviceColumn* raw = nullptr;
+  const storage::EncodedDeviceColumn* enc = nullptr;
+  const storage::DeviceColumn* rows = nullptr;
+
+  static GroupKeys Raw(const storage::DeviceColumn& keys) {
+    GroupKeys k;
+    k.raw = &keys;
+    return k;
+  }
+  static GroupKeys Encoded(const storage::EncodedDeviceColumn& keys,
+                           const storage::DeviceColumn& rows) {
+    GroupKeys k;
+    k.enc = &keys;
+    k.rows = &rows;
+    return k;
+  }
+};
+
+/// Codes of `keys` when they form a small dense domain a grouped
+/// aggregation can index directly: a dictionary's entry count, or 2^bits
+/// for a bit-packed or frame-of-reference column, up to 4096 codes. 0 for
+/// any other column (RLE, wider codes, a non-kInt32 type, or a
+/// metadata-only dictionary).
+size_t DenseCodeDomain(const storage::EncodedDeviceColumn& keys);
+
+/// One aggregate of a grouped aggregation, downloaded: a value per group key
+/// (counts as exact doubles).
+struct HostAggregate {
+  std::vector<int32_t> keys;
+  std::vector<double> values;
+};
+
+/// Result of a multi-aggregate grouped aggregation, in one of two layouts.
+struct GroupedAggregates {
+  /// Per-aggregate layout: one GroupByResult per aggregate, in order, each
+  /// with its own key column (the libraries group once per aggregate).
+  std::vector<GroupByResult> per_aggregate;
+  /// Packed layout, used when per_aggregate is empty: kFloat64 slots, column
+  /// by column, num_groups per column — the group keys, then aggregate a in
+  /// column 1 + a (counts exact as doubles). A NaN key marks an empty slot:
+  /// a dense code domain reports every code, present or not.
+  storage::DeviceColumn packed;
+  size_t num_groups = 0;  ///< groups per column (slots, when packed)
+
+  /// Downloads the `num_aggregates` aggregates on `stream`: keys then
+  /// aggregate, one aggregate after another, or the packed buffer in one
+  /// transfer with its empty slots dropped. Adds the bytes moved to *bytes.
+  std::vector<HostAggregate> ToHost(gpusim::Stream& stream,
+                                    size_t num_aggregates,
+                                    uint64_t* bytes) const;
+};
+
 /// Thrown when an operator has no realization in a library (Table II "-"),
 /// e.g. hash join in all three libraries.
 class UnsupportedOperator : public std::runtime_error {
@@ -278,6 +349,13 @@ class Backend {
                                          const storage::DeviceColumn& values,
                                          AggOp op) = 0;
 
+  /// Grouped aggregation of a list of aggregates over one key column (the
+  /// plan executor's only grouped entry). The default is the library shape:
+  /// encoded keys materialize once (GatherDecode), then one GroupByAggregate
+  /// per aggregate, in order, returned in the per-aggregate layout.
+  virtual GroupedAggregates GroupByAggregates(const GroupKeys& keys,
+                                              const std::vector<Aggregate>& aggs);
+
   /// Full-column reduction; result as double (count as exact integer value).
   virtual double ReduceColumn(const storage::DeviceColumn& values,
                               AggOp op) = 0;
@@ -363,18 +441,6 @@ class Backend {
   /// encoded-domain shortcut exists.
   virtual double ReduceEncoded(const storage::EncodedDeviceColumn& values,
                                AggOp op);
-
-  /// Grouped aggregation whose keys never decode: group codes are read
-  /// straight from the packed payload for the selected rows (`rows.row_ids`
-  /// aligned with `values`), and each output group carries the decoded key
-  /// value. Realizations over a small dense code domain may return EVERY
-  /// code as a group, including ones absent from the selection (identity
-  /// aggregate, zero count) — callers must treat absent and empty groups
-  /// alike. The default decodes the surviving keys (one gather-decode
-  /// kernel) and runs the ordinary grouped aggregation.
-  virtual GroupByResult GroupByAggregateEncoded(
-      const storage::EncodedDeviceColumn& keys, const SelectionResult& rows,
-      const storage::DeviceColumn& values, AggOp op);
 
  protected:
   /// Per-operator hook the defaults call once before launching encoded

@@ -16,6 +16,7 @@
 #ifndef HANDWRITTEN_HANDWRITTEN_H_
 #define HANDWRITTEN_HANDWRITTEN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -183,6 +184,12 @@ void PrivatizedGroupReduce(size_t begin, size_t end, KeyOf key_of,
   }
   table.ForEach(global);
   for (; i < end; ++i) global(key_of(i), val_of(i));
+}
+
+/// Global combines a chunk-privatized grouped pass over n rows into `groups`
+/// groups declares: each tile of rows flushes at most the groups it saw.
+inline uint64_t GroupFlushes(size_t n, size_t groups) {
+  return std::min<uint64_t>(n, gpusim::detail::NumTiles(n) * groups);
 }
 
 // ---------------------------------------------------------------------------

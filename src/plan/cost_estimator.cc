@@ -4,6 +4,7 @@
 
 #include "backends/backends.h"
 #include "gpusim/algorithms.h"
+#include "handwritten/handwritten.h"
 
 namespace plan {
 namespace {
@@ -103,6 +104,61 @@ uint64_t CompactTailCost(const CostModel* m, const ApiProfile& api, uint64_t n,
                          uint64_t out_rows, uint64_t out_elem) {
   return ScanCost(m, api, n, 4) + 2 * Xfer(m, api, 4) +
          Kern(m, api, n * 8, out_rows * out_elem, n);
+}
+
+// -- Exact mirrors ------------------------------------------------------------
+// The multi-aggregate GroupBy estimates replay the simulator's own charging
+// rules: a ParallelFor grid counts at least one op per thread and a block
+// launch one per block thread (gpusim/kernel.h).
+
+/// One ParallelFor / ParallelForChunks launch over n threads.
+uint64_t Grid(const CostModel* m, const ApiProfile& api, uint64_t n,
+              uint64_t read, uint64_t written, uint64_t ops = 0) {
+  return Kern(m, api, read, written, std::max(ops, n));
+}
+
+/// One LaunchBlocks launch of `blocks` default-sized blocks.
+uint64_t Blocks(const CostModel* m, const ApiProfile& api, uint64_t blocks,
+                uint64_t read, uint64_t written, uint64_t ops) {
+  return Kern(m, api, read, written,
+              std::max<uint64_t>(ops, blocks * gpusim::kDefaultBlockSize));
+}
+
+/// gpusim::detail::ScanImpl (inclusive and exclusive charge alike).
+uint64_t ExactScan(const CostModel* m, const ApiProfile& api, uint64_t n,
+                   uint64_t elem) {
+  if (n == 0) return 0;
+  const uint64_t tiles = gpusim::detail::NumTiles(n);
+  uint64_t t = Blocks(m, api, tiles, n * elem, (n + tiles) * elem, n);
+  if (tiles > 1) {
+    t += ExactScan(m, api, tiles, elem) +
+         Blocks(m, api, tiles, (n + tiles) * elem, n * elem, n);
+  }
+  return t;
+}
+
+/// gpusim::RadixSortPairs over int32 keys with `val_bytes` payloads.
+uint64_t ExactRadixSortPairs(const CostModel* m, const ApiProfile& api,
+                             uint64_t n, uint64_t val_bytes) {
+  if (n <= 1) return 0;
+  const uint64_t tiles = gpusim::detail::NumTiles(n);
+  const uint64_t pass =
+      Blocks(m, api, tiles, n * 4, tiles * gpusim::detail::kRadixBuckets * 4,
+             n) +
+      ExactScan(m, api, tiles * gpusim::detail::kRadixBuckets, 4) +
+      Blocks(m, api, tiles, n * (4 + val_bytes), n * (4 + val_bytes), n);
+  return Grid(m, api, n, n * 4, n * 4) + 4 * pass +
+         Grid(m, api, n, n * 4, n * 4);
+}
+
+/// gpusim::ReduceByKey over sorted int32 keys.
+uint64_t ExactReduceByKey(const CostModel* m, const ApiProfile& api,
+                          uint64_t n, uint64_t groups, uint64_t val_bytes) {
+  if (n == 0) return 0;
+  return Grid(m, api, n, 2 * n * 4, n * 4) + ExactScan(m, api, n, 4) +
+         Xfer(m, api, 4) +
+         Grid(m, api, n, n * (4 + val_bytes + 8), groups * (4 + val_bytes)) +
+         Grid(m, api, n, n * (val_bytes + 8), groups * val_bytes, 2 * n);
 }
 
 }  // namespace
@@ -294,6 +350,63 @@ uint64_t CostEstimator::GroupBy(const std::string& b, size_t n, size_t groups,
   return t;
 }
 
+uint64_t CostEstimator::GroupByAggregates(const std::string& b,
+                                          const GroupByShape& shape) const {
+  const auto api = ProfileFor(b);
+  const uint64_t n = shape.rows;
+  const uint64_t g = shape.groups;
+  const uint64_t num = shape.aggs.size();
+  if (num == 1 && shape.code_bytes == 0) {
+    return GroupBy(b, n, g, shape.aggs[0].val_bytes);  // the plain call
+  }
+  uint64_t value_bytes = 0;  // per row, over every aggregate that reads one
+  for (const GroupByShape::Agg& a : shape.aggs) {
+    if (!a.count) value_bytes += a.val_bytes;
+  }
+  if (Is(b, backends::kHandwritten)) {
+    const uint64_t flushes = handwritten::GroupFlushes(n, g);
+    if (shape.code_bytes > 0) {
+      // Slot init, then one pass over row ids, codes and values.
+      const uint64_t slots = g * (1 + num);
+      return Grid(model_, api, slots, 0, slots * 8) +
+             Grid(model_, api, n,
+                  n * (4 + shape.code_bytes + value_bytes) +
+                      (shape.dictionary ? g * 4 : 0),
+                  flushes * (1 + num) * 8, n * (1 + num));
+    }
+    // Table fill, insert, slot flags, in-place scan, group-count readback,
+    // compaction, then the aggregation pass.
+    const uint64_t cap = NextPow2(n < 8 ? 16 : 2 * n);
+    return Grid(model_, api, cap, 0, cap * 4) +
+           Grid(model_, api, n, n * 8, n * 4, 2 * n) +
+           Grid(model_, api, cap, cap * 4, cap * 4) +
+           ExactScan(model_, api, cap, 4) + D2H(api, 4) +
+           Grid(model_, api, cap, cap * 8, g * (1 + num) * 8) +
+           Grid(model_, api, n, n * 8 + n * value_bytes, flushes * num * 8,
+                n * (1 + num));
+  }
+  // Library shape: the keys materialized (the plan gathers them), then one
+  // GroupByAggregate per aggregate.
+  uint64_t t = 0;
+  for (const GroupByShape::Agg& a : shape.aggs) {
+    if (!Is(b, backends::kThrust)) {
+      t += GroupBy(b, n, g, a.val_bytes);
+      continue;
+    }
+    // Thrust exactly: copy keys (and values), sort_by_key, reduce_by_key,
+    // shrink; a count sorts a filled column of int64 ones instead and a sum
+    // converts its aggregate to f64.
+    const uint64_t v = a.count ? 8 : a.val_bytes;
+    t += D2D(api, n * 4) +
+         (a.count ? Grid(model_, api, n, 0, n * 8) : D2D(api, n * v)) +
+         ExactRadixSortPairs(model_, api, n, v) +
+         ExactReduceByKey(model_, api, n, g, v);
+    if (g > 0) t += D2D(api, g * 4) + (a.count ? D2D(api, g * 8) : 0);
+    if (!a.count) t += Grid(model_, api, g, g * v, g * 8);
+  }
+  return t;
+}
+
 uint64_t CostEstimator::Reduce(const std::string& b, size_t n,
                                uint64_t elem_bytes) const {
   const auto api = ProfileFor(b);
@@ -335,6 +448,20 @@ uint64_t CostEstimator::FetchGroups(const std::string& b, size_t groups,
                                     uint64_t agg_bytes) const {
   const auto api = ProfileFor(b);
   return D2H(api, groups * 4) + D2H(api, groups * agg_bytes);
+}
+
+uint64_t CostEstimator::FetchGroupedAggregates(
+    const std::string& b, const GroupByShape& shape) const {
+  if (shape.aggs.size() == 1 && shape.code_bytes == 0) {
+    return FetchGroups(b, shape.groups, 8);
+  }
+  const auto api = ProfileFor(b);
+  const uint64_t g = shape.groups;
+  if (g == 0) return 0;  // empty columns download nothing
+  if (Is(b, backends::kHandwritten)) {
+    return D2H(api, g * (1 + shape.aggs.size()) * 8);
+  }
+  return shape.aggs.size() * (D2H(api, g * 4) + D2H(api, g * 8));
 }
 
 uint64_t CostEstimator::FetchPair(const std::string& b, size_t n) const {

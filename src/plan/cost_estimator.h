@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "gpusim/device.h"
 #include "plan/ir.h"
@@ -23,6 +24,23 @@ namespace plan {
 /// ArrayFire-style lazy-JIT bookkeeping overhead per expression node
 /// (mirrors afsim::kJitNodeOverheadNs).
 inline constexpr uint64_t kAfJitNodeOverheadNs = 700;
+
+/// A GroupBy node as the estimator prices it (plan::GroupByShapeOf builds
+/// one from a plan node).
+struct GroupByShape {
+  struct Agg {
+    uint64_t val_bytes = 8;  ///< element bytes of the aggregated column
+    bool count = false;      ///< kCount: reads no values
+  };
+  size_t rows = 0;    ///< rows grouped
+  size_t groups = 0;  ///< groups out; every code's slot when on codes
+  std::vector<Agg> aggs;
+  /// Grouping on packed codes (Handwritten's dense path): code bytes per
+  /// row, and whether the domain is a dictionary whose entries the pass
+  /// reads. 0: the keys are a materialized kInt32 column.
+  uint64_t code_bytes = 0;
+  bool dictionary = false;
+};
 
 class CostEstimator {
  public:
@@ -70,8 +88,18 @@ class CostEstimator {
   uint64_t Join(const std::string& b, JoinAlgo algo, size_t n_build,
                 size_t n_probe, size_t m) const;
 
+  /// A single aggregate over materialized keys (the plain operator call).
   uint64_t GroupBy(const std::string& b, size_t n, size_t groups,
                    uint64_t val_bytes) const;
+
+  /// A GroupBy through Backend::GroupByAggregates: Handwritten's one pass
+  /// (over codes, or after one hash-table build), or a library's
+  /// GroupByAggregate per aggregate. Several aggregates or code keys mirror
+  /// Handwritten's and Thrust's kernels exactly, so given the actual rows
+  /// and groups the estimate is the measurement; one aggregate over
+  /// materialized keys is the plain call, priced by GroupBy.
+  uint64_t GroupByAggregates(const std::string& b,
+                             const GroupByShape& shape) const;
 
   uint64_t Reduce(const std::string& b, size_t n, uint64_t elem_bytes) const;
 
@@ -85,6 +113,12 @@ class CostEstimator {
 
   uint64_t FetchGroups(const std::string& b, size_t groups,
                        uint64_t agg_bytes) const;
+
+  /// The download of a GroupByAggregates result: one packed buffer on
+  /// Handwritten, keys then aggregate per aggregate elsewhere (exact), or
+  /// FetchGroups for the plain call's result.
+  uint64_t FetchGroupedAggregates(const std::string& b,
+                                  const GroupByShape& shape) const;
 
   uint64_t FetchPair(const std::string& b, size_t n) const;
 

@@ -367,24 +367,29 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
     }
   }
 
-  // One gather edge per non-coordinator device, routed by the topology.
+  // One gather edge per other device with a shard into the coordinator,
+  // routed by the topology.
+  spec.coordinator = where.empty() ? 0 : *std::min_element(where.begin(),
+                                                           where.end());
   const size_t shard_rows =
       spec.shards > 0 ? (li_rows + spec.shards - 1) / spec.shards : li_rows;
-  for (int d = 1; d < group.size(); ++d) {
-    if (!used[static_cast<size_t>(d)]) continue;
-    const gpusim::LinkPath link = group.Link(d, 0);
+  for (int d = 0; d < group.size(); ++d) {
+    if (d == spec.coordinator || !used[static_cast<size_t>(d)]) continue;
+    const gpusim::LinkPath link = group.Link(d, spec.coordinator);
     ExchangeEdge e;
     e.kind = ExchangeEdge::Kind::kGather;
     e.device = d;
+    e.target = spec.coordinator;
     e.bytes = query_spec.estimate_partial_bytes(shard_rows);
     e.rows = shard_rows;
     e.what = "partials";
     e.peer = link.peer;
     e.hops = link.hops;
     spec.edges.push_back(e);
-    spec.exchange_plan.ExchangeGather(d, e.bytes, e.rows,
-                                      "partials dev" + std::to_string(d) +
-                                          "->dev0");
+    spec.exchange_plan.ExchangeGather(
+        d, e.bytes, e.rows,
+        "partials dev" + std::to_string(d) + "->dev" +
+            std::to_string(spec.coordinator));
   }
   return spec;
 }
@@ -407,7 +412,8 @@ std::string ExplainSharded(const ShardedPlanSpec& spec,
   for (const ExchangeEdge& e : spec.edges) {
     os << "  " << ExchangeEdgeKindName(e.kind) << "  " << e.what;
     if (e.kind == ExchangeEdge::Kind::kGather) {
-      os << "  dev" << e.device << " -> dev0  " << e.bytes << " B  "
+      os << "  dev" << e.device << " -> dev" << e.target << "  " << e.bytes
+         << " B  "
          << (e.peer ? "p2p link (1 hop)" : "via host (2 hops)");
     } else {
       os << "  host -> dev" << e.device << "  " << e.bytes << " B  pcie";

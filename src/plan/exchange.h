@@ -73,6 +73,7 @@ struct ExchangeEdge {
   enum class Kind { kScatter, kBroadcast, kGather };
   Kind kind = Kind::kScatter;
   int device = 0;        ///< destination (scatter/broadcast) or source (gather)
+  int target = -1;       ///< gather edges: the coordinator receiving partials
   uint64_t bytes = 0;    ///< estimated payload
   size_t rows = 0;
   std::string what;      ///< payload description ("lineitem[0,8192)", "orders")
@@ -89,6 +90,9 @@ const char* ExchangeEdgeKindName(ExchangeEdge::Kind kind);
 struct ShardedPlanSpec {
   int devices = 1;
   size_t shards = 1;
+  /// The device the partials are gathered into: the lowest live device
+  /// with a shard, as in the runner.
+  int coordinator = 0;
   std::vector<ShardPlacement> placements;
   std::vector<ExchangeEdge> edges;
   Plan exchange_plan;
@@ -97,8 +101,8 @@ struct ShardedPlanSpec {
 /// Plans a sharded execution: orderkey-snapped shard bounds (one shard per
 /// device unless `force_shards` overrides), the runner's round-robin
 /// placement over the live devices, broadcast edges for every non-lineitem table the query reads,
-/// and one gather edge per non-coordinator device routed per the group
-/// topology. Pure function of its inputs.
+/// and one gather edge per other device with a shard into the coordinator,
+/// routed per the group topology. Pure function of its inputs.
 ShardedPlanSpec PlanShardedExecution(TpchQuery query,
                                      const TpchHostTables& tables,
                                      const gpusim::DeviceGroup& group,

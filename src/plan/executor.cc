@@ -97,12 +97,23 @@ class Executor {
       case Part::kRowIds: return v.sel.row_ids;
       case Part::kLeftRows: return v.join.left_rows;
       case Part::kRightRows: return v.join.right_rows;
-      case Part::kGroupKeys: return v.groups.keys;
-      case Part::kGroupAggregate: return v.groups.aggregate;
+      case Part::kGroupKeys: return SingleGroupBy(in).keys;
+      case Part::kGroupAggregate: return SingleGroupBy(in).aggregate;
       case Part::kPairFirst: return v.pair.first;
       case Part::kPairSecond: return v.pair.second;
     }
     throw std::logic_error("plan: bad NodeInput part");
+  }
+
+  /// The result of a single-aggregate GroupBy, the only kind whose columns
+  /// other nodes consume.
+  const core::GroupByResult& SingleGroupBy(NodeInput in) const {
+    const core::GroupedAggregates& g = ValueOf(in.node).groups;
+    if (g.per_aggregate.size() != 1) {
+      throw std::logic_error("plan: node " + std::to_string(in.node) +
+                             " is not a single-aggregate group-by");
+    }
+    return g.per_aggregate[0];
   }
 
   /// The encoded column behind `in`, or null when the input is not an
@@ -376,10 +387,7 @@ class Executor {
         value.out_rows = value.column.size();
         break;
       case NodeKind::kGroupBy:
-        value.groups = backend.GroupByAggregate(
-            ColDecoded(node.group_keys, backend),
-            ColDecoded(node.group_values, backend), node.agg);
-        value.out_rows = value.groups.num_groups;
+        ExecuteGroupBy(node, backend, value);
         break;
       case NodeKind::kReduce: {
         const storage::EncodedDeviceColumn* e = EncOf(node.unary_in);
@@ -401,17 +409,11 @@ class Executor {
         value.out_rows = value.pair.first.size();
         break;
       case NodeKind::kFetchGroups: {
-        // Download order: keys, then aggregate.
-        const core::GroupByResult& g = ValueOf(node.fetch_from.node).groups;
-        gpusim::Stream& stream = backend.stream();
-        const storage::Column keys = g.keys.ToHost(stream);
-        const storage::Column agg = g.aggregate.ToHost(stream);
-        value.host_keys = keys.values<int32_t>();
-        if (g.aggregate.type() == DataType::kInt64) {
-          value.host_vals_i = agg.values<int64_t>();
-        } else {
-          value.host_vals_f = agg.values<double>();
-        }
+        const core::GroupedAggregates& g = ValueOf(node.fetch_from.node).groups;
+        value.host_groups = g.ToHost(
+            backend.stream(),
+            phys_.plan.nodes[node.fetch_from.node].aggregates.size(),
+            &value.host_bytes);
         value.out_rows = g.num_groups;
         break;
       }
@@ -420,6 +422,7 @@ class Executor {
         gpusim::Stream& stream = backend.stream();
         value.host_first = pr.first.ToHost(stream).values<double>();
         value.host_second = pr.second.ToHost(stream).values<int32_t>();
+        value.host_bytes = pr.first.byte_size() + pr.second.byte_size();
         value.out_rows = value.host_first.size();
         break;
       }
@@ -444,6 +447,24 @@ class Executor {
         value.out_rows = node.exch_rows;
         break;
     }
+  }
+
+  /// Keys the optimizer left as codes go to the backend encoded, with the
+  /// rows they are grouped at.
+  void ExecuteGroupBy(const PlanNode& node, core::Backend& backend,
+                      NodeValue& value) {
+    const storage::EncodedDeviceColumn* enc =
+        node.group_rows.node >= 0 ? EncOf(node.group_keys) : nullptr;
+    const core::GroupKeys keys =
+        enc != nullptr
+            ? core::GroupKeys::Encoded(*enc, Col(node.group_rows))
+            : core::GroupKeys::Raw(ColDecoded(node.group_keys, backend));
+    std::vector<core::Aggregate> aggs;
+    for (const GroupAggregate& a : node.aggregates) {
+      aggs.push_back(core::Aggregate{&ColDecoded(a.values, backend), a.op});
+    }
+    value.groups = backend.GroupByAggregates(keys, aggs);
+    value.out_rows = value.groups.num_groups;
   }
 
   void ExecuteFusedMap(const PlanNode& node, gpusim::Stream& stream,

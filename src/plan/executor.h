@@ -38,17 +38,17 @@ struct NodeValue {
 
   core::SelectionResult sel;                              // filter kinds
   core::JoinResult join;                                  // join
-  core::GroupByResult groups;                             // group-by
+  core::GroupedAggregates groups;                         // group-by
   storage::DeviceColumn column;                           // gather/map/...
   std::pair<storage::DeviceColumn, storage::DeviceColumn> pair;  // sort-by-key
   double scalar = 0.0;                                    // reduce / fused sum
 
   // Host downloads (fetch nodes).
-  std::vector<int32_t> host_keys;    ///< FetchGroups keys
-  std::vector<double> host_vals_f;   ///< FetchGroups float aggregate
-  std::vector<int64_t> host_vals_i;  ///< FetchGroups count aggregate
+  /// FetchGroups: one entry per aggregate of the GroupBy, in its order.
+  std::vector<core::HostAggregate> host_groups;
   std::vector<double> host_first;    ///< FetchPair sorted keys
   std::vector<int32_t> host_second;  ///< FetchPair reordered values
+  uint64_t host_bytes = 0;  ///< bytes a fetch node downloaded
 
   uint64_t measured_ns = 0;  ///< simulated time this node charged
   uint64_t boundary_ns = 0;  ///< share spent on cross-backend transfers

@@ -24,6 +24,14 @@ std::string NodeTitle(const PlanNode& n) {
   if (n.kind == NodeKind::kJoin) {
     title += std::string("[") + AlgoName(n.join_algo) + "]";
   }
+  if (n.kind == NodeKind::kGroupBy) {
+    if (n.aggregates.size() > 1) {
+      title += '[';
+      title += std::to_string(n.aggregates.size());
+      title += " aggs]";
+    }
+    if (n.group_rows.node >= 0) title += "[codes]";
+  }
   if (!n.label.empty()) title += " " + n.label;
   return title;
 }

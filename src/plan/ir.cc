@@ -59,7 +59,19 @@ std::vector<NodeInput> NodeInputs(const PlanNode& node) {
       in = {node.unary_in};
       break;
     case NodeKind::kGroupBy:
-      in = {node.group_keys, node.group_values};
+      in = {node.group_keys};
+      if (node.group_rows.node >= 0) in.push_back(node.group_rows);
+      for (size_t a = 0; a < node.aggregates.size(); ++a) {
+        // Aggregates may share a column (Q1's sum and count of
+        // l_quantity): list each value edge once.
+        const NodeInput& v = node.aggregates[a].values;
+        bool seen = false;
+        for (size_t b = 0; b < a; ++b) {
+          const NodeInput& u = node.aggregates[b].values;
+          seen = seen || (u.node == v.node && u.part == v.part);
+        }
+        if (!seen) in.push_back(v);
+      }
       break;
     case NodeKind::kSortByKey:
       in = {node.sort_keys, node.sort_values};

@@ -7,6 +7,11 @@
 // therefore exact and replayable, the property the golden cost table
 // (tests/query_golden_test.cc) pins.
 //
+// A GroupBy groups a list of named aggregates by one key column, and one
+// FetchGroups downloads them all (Q1's six aggregates are one node). How
+// many grouping passes that costs is the backend's business: a library
+// sorts once per aggregate, Handwritten aggregates them all in one pass.
+//
 // The optimizer (plan/optimizer.h) rewrites plans in place: merged or fused
 // nodes keep their slot (stable node ids) and consumed intermediates are
 // marked dead rather than erased, which preserves both execution order and
@@ -34,11 +39,11 @@ enum class NodeKind {
   kMap,            ///< element-wise arithmetic (product / +- scalar)
   kJoin,           ///< equi-join, build side unique (PK)
   kUnique,         ///< distinct values (semi-join build side)
-  kGroupBy,        ///< grouped aggregation
+  kGroupBy,        ///< grouped aggregation of a list of aggregates
   kReduce,         ///< full-column reduction to a host scalar
   kSort,           ///< ascending sort
   kSortByKey,      ///< key-value sort
-  kFetchGroups,    ///< download a GroupBy result (keys then aggregate)
+  kFetchGroups,    ///< download a GroupBy result (keys and aggregates)
   kFetchPair,      ///< download a SortByKey result (first then second)
   kFusedMap,       ///< a*(alpha-b) or a*(b+alpha) in one kernel (rewrite)
   kFusedFilterSum, ///< filter+project+sum in one pass (rewrite)
@@ -71,8 +76,8 @@ enum class Part {
   kRowIds,         ///< a selection's matching row ids
   kLeftRows,       ///< a join's build-side row ids
   kRightRows,      ///< a join's probe-side row ids
-  kGroupKeys,      ///< a group-by's key column
-  kGroupAggregate, ///< a group-by's aggregate column
+  kGroupKeys,      ///< a single-aggregate group-by's key column
+  kGroupAggregate, ///< a single-aggregate group-by's aggregate column
   kPairFirst,      ///< a sort-by-key's sorted keys
   kPairSecond,     ///< a sort-by-key's reordered values
 };
@@ -81,6 +86,14 @@ enum class Part {
 struct NodeInput {
   int node = -1;
   Part part = Part::kValue;
+};
+
+/// One aggregate of a GroupBy: `op` over `values`, named for the query's
+/// finalize, which reads the grouped result by that name.
+struct GroupAggregate {
+  NodeInput values;
+  core::AggOp op = core::AggOp::kSum;
+  std::string name;
 };
 
 /// One plan node. Only the fields relevant to `kind` are meaningful.
@@ -124,11 +137,17 @@ struct PlanNode {
   NodeInput join_build, join_probe;
   JoinAlgo join_algo = JoinAlgo::kAuto;
 
-  // kUnique / kSort / kReduce / kGroupBy / kSortByKey
+  // kUnique / kSort / kReduce / kSortByKey
   NodeInput unary_in;            ///< unique/sort/reduce input column
-  NodeInput group_keys, group_values;
-  core::AggOp agg = core::AggOp::kSum;
+  core::AggOp agg = core::AggOp::kSum;  ///< kReduce
   NodeInput sort_keys, sort_values;
+
+  // kGroupBy: every aggregate groups by the same keys, in one node. When
+  // group_rows is set (by the optimizer's code-key rewrite), group_keys is
+  // an encoded scan and the rows grouped are group_rows' row ids: the
+  // backend groups on the packed codes and no key gather runs.
+  NodeInput group_keys, group_rows;
+  std::vector<GroupAggregate> aggregates;
 
   // kFetchGroups / kFetchPair
   NodeInput fetch_from;  ///< the group-by / sort-by-key node (node id only)
@@ -264,13 +283,12 @@ struct Plan {
     return Add(std::move(n));
   }
 
-  int GroupBy(NodeInput keys, NodeInput values, core::AggOp agg,
+  int GroupBy(NodeInput keys, std::vector<GroupAggregate> aggregates,
               std::string label) {
     PlanNode n;
     n.kind = NodeKind::kGroupBy;
     n.group_keys = keys;
-    n.group_values = values;
-    n.agg = agg;
+    n.aggregates = std::move(aggregates);
     n.label = std::move(label);
     return Add(std::move(n));
   }

@@ -30,7 +30,8 @@ void RemapNode(PlanNode& node, Fn fn, FnId fn_id) {
   fn(node.join_probe);
   fn(node.unary_in);
   fn(node.group_keys);
-  fn(node.group_values);
+  fn(node.group_rows);
+  for (GroupAggregate& a : node.aggregates) fn(a.values);
   fn(node.sort_keys);
   fn(node.sort_values);
   fn(node.fetch_from);
@@ -81,10 +82,12 @@ std::optional<storage::DataType> InferType(const Plan& p, NodeInput in) {
     case Part::kGroupKeys:
     case Part::kPairSecond:
       return storage::DataType::kInt32;
-    case Part::kGroupAggregate:
-      return p.nodes[in.node].agg == core::AggOp::kCount
+    case Part::kGroupAggregate: {
+      const std::vector<GroupAggregate>& aggs = p.nodes[in.node].aggregates;
+      return !aggs.empty() && aggs[0].op == core::AggOp::kCount
                  ? storage::DataType::kInt64
                  : storage::DataType::kFloat64;
+    }
     case Part::kPairFirst:
       return InferType(p, p.nodes[in.node].sort_keys);
     case Part::kValue:
@@ -129,6 +132,46 @@ uint64_t ScanElemBytes(const Plan& p, NodeInput in) {
     return std::max<uint64_t>(1, e->encoded_byte_size() / e->size);
   }
   return ElemBytes(p, in);
+}
+
+/// The encoded base column whose codes GroupBy `i` can group on: its keys
+/// already are (the code-key rewrite set group_rows), or they are a Gather
+/// of an encoded scan with a dense code domain feeding this GroupBy alone.
+/// Null otherwise.
+const storage::EncodedDeviceColumn* CodeKeys(const Plan& p, int i) {
+  const PlanNode& n = p.nodes[i];
+  if (n.group_rows.node >= 0) return p.nodes[n.group_keys.node].scan_enc;
+  const NodeInput keys = n.group_keys;
+  if (keys.node < 0 || keys.part != Part::kValue) return nullptr;
+  const PlanNode& g = p.nodes[keys.node];
+  if (g.kind != NodeKind::kGather || g.gather_indices.part != Part::kRowIds ||
+      !IsEncodedScan(p, g.gather_src) ||
+      core::DenseCodeDomain(*p.nodes[g.gather_src.node].scan_enc) == 0) {
+    return nullptr;
+  }
+  const std::vector<int> users = Users(p, keys.node);
+  if (users != std::vector<int>{i}) return nullptr;
+  for (const GroupAggregate& a : n.aggregates) {
+    if (a.values.node == keys.node) return nullptr;
+  }
+  return p.nodes[g.gather_src.node].scan_enc;
+}
+
+/// GroupByShapeOf, grouping on `codes` when not null.
+GroupByShape ShapeOf(const Plan& p, int node, size_t rows, size_t groups,
+                     const storage::EncodedDeviceColumn* codes) {
+  GroupByShape shape;
+  shape.rows = rows;
+  shape.groups = groups;
+  for (const GroupAggregate& a : p.nodes[node].aggregates) {
+    shape.aggs.push_back(GroupByShape::Agg{ElemBytes(p, a.values),
+                                           a.op == core::AggOp::kCount});
+  }
+  if (codes != nullptr) {
+    shape.code_bytes = (codes->bit_width + 7) / 8;
+    shape.dictionary = codes->encoding == storage::Encoding::kDictionary;
+  }
+  return shape;
 }
 
 /// Collects the single guard governing a set of nodes; nullopt when two
@@ -431,12 +474,16 @@ class Dispatcher {
       if (node.kind == NodeKind::kFetchGroups ||
           node.kind == NodeKind::kFetchPair) {
         // Downloads run on the stream that produced the device result.
-        const std::string& b = phys_.node_backend[node.fetch_from.node];
+        const int from = node.fetch_from.node;
+        const std::string& b = phys_.node_backend[from];
         phys_.node_backend[i] = b;
+        phys_.est_rows[i] = Rows(from);
         phys_.est_ns[i] =
-            node.kind == NodeKind::kFetchGroups
-                ? est_.FetchGroups(b, Rows(node.fetch_from.node), 8)
-                : est_.FetchPair(b, Rows(node.fetch_from.node));
+            node.kind == NodeKind::kFetchPair
+                ? est_.FetchPair(b, Rows(from))
+                : est_.FetchGroupedAggregates(
+                      b, GroupByShapeOf(p, from, GroupedRows(from),
+                                        Rows(from)));
         continue;
       }
 
@@ -491,11 +538,44 @@ class Dispatcher {
       phys_.est_ns[i] = best_cost;
       phys_.est_boundary_ns[i] = best_boundary;
       if (node.kind == NodeKind::kJoin) node.join_algo = best_algo;
+      if (node.kind == NodeKind::kGroupBy && best == "Handwritten" &&
+          node.group_rows.node < 0 &&
+          CodeKeys(p, static_cast<int>(i)) != nullptr) {
+        GroupOnCodes(i, best);
+      }
     }
   }
 
  private:
   size_t Rows(int id) const { return id >= 0 ? phys_.est_rows[id] : 0; }
+
+  /// Estimated rows GroupBy `id` groups.
+  size_t GroupedRows(int id) const {
+    const PlanNode& n = phys_.plan.nodes[id];
+    return Rows(n.group_rows.node >= 0 ? n.group_rows.node
+                                       : n.group_keys.node);
+  }
+
+  /// The code-key rewrite, for a GroupBy dispatched to Handwritten: the key
+  /// gather dies, and the GroupBy reads the encoded scan's codes at the
+  /// gather's row ids. Its output is every code of the domain.
+  void GroupOnCodes(size_t i, const std::string& backend) {
+    Plan& p = phys_.plan;
+    PlanNode& node = p.nodes[i];
+    const int gather = node.group_keys.node;
+    node.group_keys = p.nodes[gather].gather_src;
+    node.group_rows = p.nodes[gather].gather_indices;
+    p.nodes[gather].dead = true;
+    phys_.node_backend[gather].clear();
+    phys_.est_ns[gather] = 0;
+    phys_.est_boundary_ns[gather] = 0;
+    phys_.est_rows[i] =
+        core::DenseCodeDomain(*p.nodes[node.group_keys.node].scan_enc);
+    const uint64_t boundary = BoundaryEstimate(node, backend);
+    phys_.est_ns[i] =
+        OpEstimate(i, node, backend, node.join_algo) + boundary;
+    phys_.est_boundary_ns[i] = boundary;
+  }
 
   bool HashCapable(const std::string& name) {
     auto it = hash_capable_.find(name);
@@ -520,8 +600,8 @@ class Dispatcher {
   /// Full-decode cost for encoded base columns this node consumes through an
   /// operator with no encoded-domain realization (the executor's ColDecoded
   /// path). Selection and gather stay in code space and are priced by their
-  /// own encoded-aware estimates; group-by keys stay encoded only on the
-  /// handwritten backend (GroupByAggregateEncoded).
+  /// own encoded-aware estimates; group-by keys stay encoded once the
+  /// code-key rewrite gave them row ids.
   uint64_t DecodeExtra(const PlanNode& n, const std::string& c) const {
     const Plan& p = phys_.plan;
     uint64_t extra = 0;
@@ -555,8 +635,9 @@ class Dispatcher {
         add(n.sort_values);
         break;
       case NodeKind::kGroupBy:
-        if (c != "Handwritten") add(n.group_keys);
-        add(n.group_values);
+        for (const NodeInput& in : NodeInputs(n)) {
+          if (n.group_rows.node < 0 || in.node != n.group_keys.node) add(in);
+        }
         break;
       default:
         break;
@@ -593,9 +674,16 @@ class Dispatcher {
       case NodeKind::kUnique:
         return est_.Unique(c, Rows(n.unary_in.node), phys_.est_rows[i],
                            ElemBytes(p, n.unary_in));
-      case NodeKind::kGroupBy:
-        return est_.GroupBy(c, Rows(n.group_keys.node), phys_.est_rows[i],
-                            ElemBytes(p, n.group_values));
+      case NodeKind::kGroupBy: {
+        const storage::EncodedDeviceColumn* codes =
+            c == "Handwritten" ? CodeKeys(p, static_cast<int>(i)) : nullptr;
+        return est_.GroupByAggregates(
+            c, ShapeOf(p, static_cast<int>(i),
+                       GroupedRows(static_cast<int>(i)),
+                       codes != nullptr ? core::DenseCodeDomain(*codes)
+                                        : phys_.est_rows[i],
+                       codes));
+      }
       case NodeKind::kReduce:
         return est_.Reduce(c, Rows(n.unary_in.node), ElemBytes(p, n.unary_in));
       case NodeKind::kSort:
@@ -643,6 +731,14 @@ class Dispatcher {
 };
 
 }  // namespace
+
+GroupByShape GroupByShapeOf(const Plan& plan, int node, size_t rows,
+                            size_t groups) {
+  const PlanNode& n = plan.nodes[node];
+  return ShapeOf(plan, node, rows, groups,
+                 n.group_rows.node >= 0 ? plan.nodes[n.group_keys.node].scan_enc
+                                        : nullptr);
+}
 
 PhysicalPlan Optimize(const Plan& logical, const OptimizerOptions& options,
                       const CostEstimator& estimator) {

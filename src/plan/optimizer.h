@@ -20,6 +20,10 @@
 //     materialization cost (a priced device-to-device copy for every input
 //     produced by a differently-assigned backend). Ties go to the earlier
 //     candidate, making dispatch deterministic.
+//  5. Code-key grouping: a GroupBy dispatched to Handwritten whose keys are
+//     a private Gather of an encoded scan with a small dense code domain
+//     (Q1's dictionary-encoded l_rfls) reads the codes at the gather's row
+//     ids instead; the key gather dies.
 #ifndef PLAN_OPTIMIZER_H_
 #define PLAN_OPTIMIZER_H_
 
@@ -77,6 +81,12 @@ struct PhysicalPlan {
     return t;
   }
 };
+
+/// The estimator's view of GroupBy `node` of `plan`, grouping `rows` rows
+/// into `groups` groups: each aggregate's value width, and the codes it
+/// reads when the code-key rewrite applied.
+GroupByShape GroupByShapeOf(const Plan& plan, int node, size_t rows,
+                            size_t groups);
 
 /// Optimizes a logical plan. Backends named in `options` (pin or candidates)
 /// must be registered with core::BackendRegistry (capability queries

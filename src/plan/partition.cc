@@ -226,10 +226,14 @@ uint64_t FootprintOfPlan(const PhysicalPlan& phys, bool include_scans) {
         intermediate_bytes += block(rows[i] * width[i]);
         break;
       case NodeKind::kGroupBy:
-        rows[i] = in_rows(n.group_keys);
+        // Every input row may be its own group: keys plus one aggregate
+        // column per aggregate.
+        rows[i] = n.group_rows.node >= 0 ? in_rows(n.group_rows)
+                                         : in_rows(n.group_keys);
         width[i] = sizeof(double);  // consumers mostly read the aggregate
-        intermediate_bytes += block(rows[i] * sizeof(int32_t)) +
-                              block(rows[i] * sizeof(double));
+        intermediate_bytes += n.aggregates.size() *
+                              (block(rows[i] * sizeof(int32_t)) +
+                               block(rows[i] * sizeof(double)));
         break;
       case NodeKind::kSort:
         rows[i] = in_rows(n.unary_in);
@@ -282,6 +286,10 @@ uint64_t FootprintOfPlan(const PhysicalPlan& phys, bool include_scans) {
       if (n.kind == NodeKind::kGather && in.node == n.gather_src.node) {
         continue;  // GatherDecode materializes survivors only
       }
+      if (n.kind == NodeKind::kGroupBy && n.group_rows.node >= 0 &&
+          in.node == n.group_keys.node) {
+        continue;  // grouped on codes, never decoded
+      }
       if (decoded.insert(src.scan_enc).second) {
         intermediate_bytes += block(src.scan_enc->raw_byte_size());
       }
@@ -297,11 +305,7 @@ uint64_t DownloadedBytes(const QueryPlanBundle& bundle,
   for (const auto& [name, node] : bundle.marks) {
     const NodeValue& v = res.values[node];
     if (!v.computed) continue;
-    bytes += v.host_keys.size() * sizeof(int32_t) +
-             v.host_vals_f.size() * sizeof(double) +
-             v.host_vals_i.size() * sizeof(int64_t) +
-             v.host_first.size() * sizeof(double) +
-             v.host_second.size() * sizeof(int32_t);
+    bytes += v.host_bytes;
     if (bundle.plan.nodes[node].kind == NodeKind::kReduce) {
       bytes += sizeof(double);  // the scalar itself comes down
     }

@@ -30,15 +30,23 @@ void Partial::LayOut(const QueryPlanBundle& bundle) {
         scalars_.try_emplace(name, 0.0);
         break;
       case NodeKind::kFetchGroups:
-        if (std::find(keyed_marks_.begin(), keyed_marks_.end(), name) ==
-            keyed_marks_.end()) {
-          keyed_marks_.push_back(name);
+        for (const GroupAggregate& a : FetchedAggregates(bundle, node)) {
+          if (std::find(keyed_marks_.begin(), keyed_marks_.end(), a.name) ==
+              keyed_marks_.end()) {
+            keyed_marks_.push_back(a.name);
+          }
         }
         break;
       default:
         break;
     }
   }
+}
+
+const std::vector<GroupAggregate>& Partial::FetchedAggregates(
+    const QueryPlanBundle& bundle, int fetch) {
+  return bundle.plan.nodes[bundle.plan.nodes[fetch].fetch_from.node]
+      .aggregates;
 }
 
 void Partial::Accumulate(const QueryPlanBundle& bundle,
@@ -52,15 +60,19 @@ void Partial::Accumulate(const QueryPlanBundle& bundle,
         scalars_[name] += v.scalar;
         break;
       case NodeKind::kFetchGroups: {
-        const size_t slot = static_cast<size_t>(
-            std::find(keyed_marks_.begin(), keyed_marks_.end(), name) -
-            keyed_marks_.begin());
-        for (size_t i = 0; i < v.host_keys.size(); ++i) {
-          std::vector<double>& group = groups_[v.host_keys[i]];
-          group.resize(keyed_marks_.size(), 0.0);
-          group[slot] += v.host_vals_f.empty()
-                             ? static_cast<double>(v.host_vals_i[i])
-                             : v.host_vals_f[i];
+        const std::vector<GroupAggregate>& aggs =
+            FetchedAggregates(bundle, node);
+        for (size_t a = 0; a < v.host_groups.size(); ++a) {
+          const size_t slot = static_cast<size_t>(
+              std::find(keyed_marks_.begin(), keyed_marks_.end(),
+                        aggs[a].name) -
+              keyed_marks_.begin());
+          const core::HostAggregate& fetched = v.host_groups[a];
+          for (size_t i = 0; i < fetched.keys.size(); ++i) {
+            std::vector<double>& group = groups_[fetched.keys[i]];
+            group.resize(keyed_marks_.size(), 0.0);
+            group[slot] += fetched.values[i];
+          }
         }
         break;
       }
@@ -162,8 +174,8 @@ TpchQueryResult Q3TopK(const Partial& p, const QueryShape& shape) {
 TpchQueryResult Q4Rows(const Partial& p, const QueryShape&) {
   TpchQueryResult r;
   for (const auto& [prio, group] : p.groups()) {
-    r.q4.push_back(
-        tpch::Q4Row{prio, static_cast<int64_t>(p.Value(group, "fetch"))});
+    r.q4.push_back(tpch::Q4Row{
+        prio, static_cast<int64_t>(p.Value(group, "order_count"))});
   }
   return r;
 }

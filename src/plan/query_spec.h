@@ -11,7 +11,8 @@
 // Partial results are generic too. A Partial is filled from the plan's
 // marked terminal nodes (QueryPlanBundle::marks), by node kind:
 //   Reduce      -> a scalar sum
-//   FetchGroups -> a keyed sum (or count), one value per group key
+//   FetchGroups -> keyed sums (or counts), one per aggregate of the fetched
+//                  GroupBy, by the aggregate's name, per group key
 //   FetchPair   -> (first, second) rows, concatenated
 // Partials of disjoint lineitem slices merge by addition and concatenation,
 // so slices can accumulate in any order, on any device. Only the small
@@ -81,26 +82,30 @@ class Partial {
   void Merge(const Partial& other);
 
   /// Host bytes of the partial, the payload a sharded gather moves: 8 B per
-  /// scalar, 4 B of key plus 8 B per keyed mark for each group, and 16 B per
-  /// pair row.
+  /// scalar, 4 B of key plus 8 B per fetched aggregate for each group, and
+  /// 16 B per pair row.
   uint64_t Bytes() const;
 
   /// The summed scalar of a Reduce mark (0 when absent).
   double scalar(const std::string& mark) const;
 
-  /// Keyed values: group key -> one value per FetchGroups mark.
+  /// Keyed values: group key -> one value per fetched aggregate.
   const std::map<int32_t, std::vector<double>>& groups() const {
     return groups_;
   }
-  /// The value of FetchGroups mark `mark` within one entry of groups().
+  /// The value of the aggregate named `mark` within one entry of groups().
   double Value(const std::vector<double>& group, const std::string& mark) const;
 
   /// Every FetchPair row, in accumulation order.
   const std::vector<PairRow>& rows() const { return rows_; }
 
  private:
+  /// The aggregates of the GroupBy that FetchGroups mark `fetch` reads.
+  static const std::vector<GroupAggregate>& FetchedAggregates(
+      const QueryPlanBundle& bundle, int fetch);
+
   std::map<std::string, double> scalars_;
-  std::vector<std::string> keyed_marks_;  ///< FetchGroups marks, by name
+  std::vector<std::string> keyed_marks_;  ///< fetched aggregates, by name
   std::map<int32_t, std::vector<double>> groups_;
   std::vector<PairRow> rows_;
 };

@@ -39,16 +39,15 @@ QueryPlanBundle BuildQ1Plan(const storage::DeviceTable& lineitem,
                        "1+tax");
   const int m4 = p.Map(MapOp::kMul, V(m2), V(m3), 0.0, "charge");
 
-  auto grouped = [&](NodeInput values, AggOp agg, const std::string& name) {
-    const int gb = p.GroupBy(V(g_key), values, agg, name);
-    b.marks[name] = p.FetchGroups(gb);
-  };
-  grouped(V(g_qty), AggOp::kSum, "sum_qty");
-  grouped(V(g_price), AggOp::kSum, "sum_base_price");
-  grouped(V(m2), AggOp::kSum, "sum_disc_price");
-  grouped(V(m4), AggOp::kSum, "sum_charge");
-  grouped(V(g_disc), AggOp::kSum, "sum_disc");
-  grouped(V(g_qty), AggOp::kCount, "count_order");
+  const int gb = p.GroupBy(V(g_key),
+                           {{V(g_qty), AggOp::kSum, "sum_qty"},
+                            {V(g_price), AggOp::kSum, "sum_base_price"},
+                            {V(m2), AggOp::kSum, "sum_disc_price"},
+                            {V(m4), AggOp::kSum, "sum_charge"},
+                            {V(g_disc), AggOp::kSum, "sum_disc"},
+                            {V(g_qty), AggOp::kCount, "count_order"}},
+                           "by l_rfls");
+  b.marks["groups"] = p.FetchGroups(gb);
   return b;
 }
 
@@ -137,7 +136,7 @@ QueryPlanBundle BuildQ3Plan(const storage::DeviceTable& customer,
   const int m1 = p.Map(MapOp::kSubFromScalar, V(g_disc), NodeInput{}, 1.0,
                        "1-disc");
   const int m2 = p.Map(MapOp::kMul, V(g_price), V(m1), 0.0, "revenue");
-  const int gb = p.GroupBy(V(g_keys), V(m2), AggOp::kSum,
+  const int gb = p.GroupBy(V(g_keys), {{V(m2), AggOp::kSum, "revenue"}},
                            "revenue by orderkey");
   const int sbk = p.SortByKey(NodeInput{gb, Part::kGroupAggregate},
                               NodeInput{gb, Part::kGroupKeys},
@@ -176,7 +175,8 @@ QueryPlanBundle BuildQ4Plan(const storage::DeviceTable& orders,
   const int j = p.Join(V(g_okey), V(distinct), "orders|X|late");
   const int g_prio = p.Gather(V(g_oprio), NodeInput{j, Part::kLeftRows},
                               "priority[join]");
-  const int gb = p.GroupBy(V(g_prio), V(g_prio), AggOp::kCount,
+  const int gb = p.GroupBy(V(g_prio), {{V(g_prio), AggOp::kCount,
+                                       "order_count"}},
                            "count by priority");
   b.marks["fetch"] = p.FetchGroups(gb);
   return b;

@@ -5,7 +5,8 @@
 // backend issues exactly that backend's chain — the paper's execution model
 // — and charges a bit-identical simulated timeline, which the golden table
 // in tests/query_golden_test.cc pins. A builder marks the terminal nodes its
-// answer is read from (Reduce, FetchGroups, FetchPair); the query registry
+// answer is read from (Reduce, FetchGroups, FetchPair) and names each
+// grouped aggregate (Q1's six share one GroupBy); the query registry
 // (plan/query_spec.h) turns the executed marks into a mergeable Partial and
 // the Partial into the query's result.
 #ifndef PLAN_TPCH_PLANS_H_

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <random>
 #include <set>
@@ -13,6 +14,8 @@
 #include "core/backend.h"
 #include "core/registry.h"
 #include "storage/device_column.h"
+#include "storage/encoded_column.h"
+#include "storage/encoding.h"
 
 namespace {
 
@@ -322,6 +325,157 @@ TEST_P(BackendTest, GroupByCountMinMax) {
   }
   EXPECT_DOUBLE_EQ(max_by[7], 5.5);
   EXPECT_DOUBLE_EQ(max_by[3], 9.0);
+}
+
+/// Per aggregate, group key -> value, from either result layout (a packed
+/// result's empty code slots dropped).
+std::vector<std::map<int32_t, double>> GroupedByKey(
+    const core::GroupedAggregates& r, size_t num_aggs, gpusim::Stream& s) {
+  uint64_t bytes = 0;
+  std::vector<std::map<int32_t, double>> out(num_aggs);
+  const std::vector<core::HostAggregate> host = r.ToHost(s, num_aggs, &bytes);
+  for (size_t a = 0; a < host.size(); ++a) {
+    for (size_t i = 0; i < host[a].keys.size(); ++i) {
+      out[a][host[a].keys[i]] = host[a].values[i];
+    }
+  }
+  return out;
+}
+
+/// One GroupByAggregates call against one GroupByAggregate call per
+/// aggregate over the materialized keys: the same keys and counts, min and
+/// max exactly, sums within a relative 1e-9 (the one pass adds in another
+/// order).
+void ExpectMultiMatchesSingles(Backend& backend, const core::GroupKeys& keys,
+                               const DeviceColumn& materialized_keys,
+                               const std::vector<core::Aggregate>& aggs) {
+  gpusim::Stream& s = backend.stream();
+  const auto multi =
+      GroupedByKey(backend.GroupByAggregates(keys, aggs), aggs.size(), s);
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    SCOPED_TRACE(core::AggOpName(aggs[a].op));
+    core::GroupedAggregates single;
+    single.per_aggregate = {backend.GroupByAggregate(
+        materialized_keys, *aggs[a].values, aggs[a].op)};
+    const auto want = GroupedByKey(single, 1, s)[0];
+    ASSERT_EQ(multi[a].size(), want.size());
+    for (const auto& [key, value] : want) {
+      ASSERT_EQ(multi[a].count(key), 1u) << "key " << key;
+      if (aggs[a].op == AggOp::kSum) {
+        EXPECT_NEAR(multi[a].at(key), value, std::abs(value) * 1e-9 + 1e-9);
+      } else {
+        EXPECT_EQ(multi[a].at(key), value) << "key " << key;
+      }
+    }
+  }
+}
+
+TEST_P(BackendTest, GroupByAggregatesEqualsOneCallPerAggregate) {
+  std::mt19937 rng(41);
+  const size_t n = 20000;
+  std::vector<int32_t> narrow(n), wide(n), sparse(n);
+  std::vector<double> prices(n);
+  std::vector<int32_t> qty(n);
+  const int32_t kSparse[] = {3, 700, 90000, 1 << 24};
+  for (size_t i = 0; i < n; ++i) {
+    narrow[i] = static_cast<int32_t>(rng() % 50);
+    wide[i] = static_cast<int32_t>(rng() % 5000);  // > 128-key private table
+    sparse[i] = kSparse[rng() % 4];
+    prices[i] = static_cast<double>(rng() % 100000) / 100.0;
+    qty[i] = static_cast<int32_t>(rng() % 50) - 10;
+  }
+  const DeviceColumn price_col = Upload(prices);
+  const DeviceColumn qty_col = Upload(qty);
+  const std::vector<core::Aggregate> aggs = {
+      {&price_col, AggOp::kSum}, {&qty_col, AggOp::kSum},
+      {&price_col, AggOp::kCount}, {&price_col, AggOp::kMin},
+      {&qty_col, AggOp::kMax}};
+
+  {
+    SCOPED_TRACE("raw keys");
+    const DeviceColumn keys = Upload(narrow);
+    ExpectMultiMatchesSingles(*backend_, core::GroupKeys::Raw(keys), keys,
+                              aggs);
+  }
+  {
+    SCOPED_TRACE("raw keys wider than the private table");
+    const DeviceColumn keys = Upload(wide);
+    ExpectMultiMatchesSingles(*backend_, core::GroupKeys::Raw(keys), keys,
+                              aggs);
+  }
+  {
+    SCOPED_TRACE("empty raw keys");
+    const DeviceColumn keys = Upload(std::vector<int32_t>{});
+    const DeviceColumn none = Upload(std::vector<double>{});
+    ExpectMultiMatchesSingles(*backend_, core::GroupKeys::Raw(keys), keys,
+                              {{&none, AggOp::kSum}, {&none, AggOp::kCount}});
+  }
+
+  // Encoded keys: the values are aligned with a selection of the rows.
+  std::vector<int32_t> picked;
+  for (size_t i = 0; i < n; i += 3) picked.push_back(static_cast<int32_t>(i));
+  std::vector<double> picked_prices;
+  for (const int32_t r : picked) picked_prices.push_back(prices[r]);
+  const DeviceColumn rows = Upload(picked);
+  const DeviceColumn values = Upload(picked_prices);
+  const std::vector<core::Aggregate> enc_aggs = {
+      {&values, AggOp::kSum}, {&values, AggOp::kCount},
+      {&values, AggOp::kMax}};
+  storage::EncodingChoice bitpack;
+  bitpack.encoding = storage::Encoding::kBitPack;
+  bitpack.bit_width = 6;
+  storage::EncodingChoice dict;
+  dict.encoding = storage::Encoding::kDictionary;
+  struct EncodedCase {
+    const char* name;
+    const std::vector<int32_t>* keys;
+    storage::EncodingChoice choice;
+  };
+  for (const EncodedCase& c : {EncodedCase{"bit-packed keys", &narrow, bitpack},
+                               EncodedCase{"dictionary keys", &sparse, dict}}) {
+    SCOPED_TRACE(c.name);
+    const storage::EncodedDeviceColumn enc = storage::UploadColumnEncoded(
+        backend_->stream(), storage::EncodeColumn(Column(*c.keys), c.choice));
+    ASSERT_GT(core::DenseCodeDomain(enc), 0u);
+    ExpectMultiMatchesSingles(*backend_, core::GroupKeys::Encoded(enc, rows),
+                              backend_->GatherDecode(enc, rows), enc_aggs);
+    SCOPED_TRACE("empty selection");
+    const DeviceColumn no_rows = Upload(std::vector<int32_t>{});
+    const DeviceColumn no_values = Upload(std::vector<double>{});
+    ExpectMultiMatchesSingles(
+        *backend_, core::GroupKeys::Encoded(enc, no_rows),
+        backend_->GatherDecode(enc, no_rows),
+        {{&no_values, AggOp::kSum}, {&no_values, AggOp::kCount}});
+  }
+}
+
+/// Handwritten's raw-key pass over Q1's shape (six aggregates, a handful of
+/// groups) peaks below a single GroupByAggregate call on a fresh device.
+TEST(HandwrittenGroupByAggregatesTest, RawKeysPeakBelowOneSingleCall) {
+  const size_t n = 60000;
+  std::mt19937 rng(7);
+  std::vector<int32_t> keys(n);
+  std::vector<double> vals(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = static_cast<int32_t>(rng() % 6);
+    vals[i] = static_cast<double>(rng() % 1000);
+  }
+  const auto peak = [&](bool multi) {
+    gpusim::Device device;
+    gpusim::Device::DeviceGuard guard(device);
+    std::unique_ptr<Backend> backend = backends::CreateHandwrittenBackend();
+    gpusim::Stream& s = backend->stream();
+    const DeviceColumn k = storage::UploadColumn(s, Column(keys));
+    const DeviceColumn v = storage::UploadColumn(s, Column(vals));
+    if (multi) {
+      const std::vector<core::Aggregate> aggs(6, {&v, AggOp::kSum});
+      backend->GroupByAggregates(core::GroupKeys::Raw(k), aggs);
+    } else {
+      backend->GroupByAggregate(k, v, AggOp::kSum);
+    }
+    return device.peak_bytes();
+  };
+  EXPECT_LT(peak(/*multi=*/true), peak(/*multi=*/false));
 }
 
 TEST_P(BackendTest, ReduceColumnAllOps) {

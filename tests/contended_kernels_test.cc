@@ -333,8 +333,8 @@ TEST_F(ContendedKernelTest, FusedSelectsReturnExactRowSets) {
 }
 
 TEST_F(ContendedKernelTest, DenseEncodedGroupByMatchesReference) {
-  // GroupByAggregateEncoded over a bit-packed 6-code key domain: every
-  // chunk combines into the same few dense slots.
+  // GroupByAggregates over a bit-packed 6-code key domain: every chunk
+  // combines into the same few dense slots, for both aggregates at once.
   gpusim::Device::DeviceGuard guard(device_);
   std::unique_ptr<core::Backend> backend = backends::CreateHandwrittenBackend();
   gpusim::Stream& bs = backend->stream();
@@ -357,28 +357,23 @@ TEST_F(ContendedKernelTest, DenseEncodedGroupByMatchesReference) {
       storage::UploadColumn(bs, storage::Column{std::vector<int64_t>(values)});
   std::vector<int32_t> ids(n);
   for (size_t i = 0; i < n; ++i) ids[i] = static_cast<int32_t>(i);
-  core::SelectionResult rows;
-  rows.row_ids = storage::UploadColumn(bs, storage::Column{std::move(ids)});
-  rows.count = n;
+  const storage::DeviceColumn rows =
+      storage::UploadColumn(bs, storage::Column{std::move(ids)});
 
-  const auto collect = [&](const core::GroupByResult& r, auto tag) {
-    using A = decltype(tag);
-    const auto k = r.keys.ToHost(bs).values<int32_t>();
-    const auto a = r.aggregate.ToHost(bs).values<A>();
-    std::map<int32_t, int64_t> got;
-    for (size_t g = 0; g < r.num_groups; ++g) {
-      if (a[g] != 0) got[k[g]] = static_cast<int64_t>(a[g]);
-    }
-    return got;
-  };
-  EXPECT_EQ(collect(backend->GroupByAggregateEncoded(enc, rows, vals,
-                                                     core::AggOp::kSum),
-                    double{}),
-            ref_sum);
-  EXPECT_EQ(collect(backend->GroupByAggregateEncoded(enc, rows, vals,
-                                                     core::AggOp::kCount),
-                    int64_t{}),
-            ref_count);
+  const core::GroupedAggregates r = backend->GroupByAggregates(
+      core::GroupKeys::Encoded(enc, rows),
+      {{&vals, core::AggOp::kSum}, {&vals, core::AggOp::kCount}});
+  ASSERT_TRUE(r.per_aggregate.empty());  // one packed buffer
+  uint64_t bytes = 0;
+  const std::vector<core::HostAggregate> host = r.ToHost(bs, 2, &bytes);
+  EXPECT_EQ(bytes, 3 * r.num_groups * sizeof(double));
+  std::map<int32_t, int64_t> got_sum, got_count;
+  for (size_t i = 0; i < host[0].keys.size(); ++i) {
+    got_sum[host[0].keys[i]] = static_cast<int64_t>(host[0].values[i]);
+    got_count[host[1].keys[i]] = static_cast<int64_t>(host[1].values[i]);
+  }
+  EXPECT_EQ(got_sum, ref_sum);
+  EXPECT_EQ(got_count, ref_count);
 }
 
 }  // namespace

@@ -494,6 +494,34 @@ TEST_F(MultiDeviceQueryTest, PlanShardedExecutionPlacesAndPricesEdges) {
   EXPECT_NE(text.find("ExchangeScatter"), std::string::npos);
 }
 
+TEST_F(MultiDeviceQueryTest, PlanShardedExecutionGathersIntoLowestLiveDevice) {
+  // With device 0 lost, placement skips it and the runner gathers into
+  // device 1; the plan and its EXPLAIN must route the partials there too.
+  gpusim::GroupTopology topo;
+  topo.peer_island_size = 2;
+  gpusim::DeviceGroup group(4, topo);
+  group.MarkLost(0);
+  const plan::ShardedPlanSpec spec = plan::PlanShardedExecution(
+      TpchQuery::kQ3, Tables(), group);
+  EXPECT_EQ(spec.coordinator, 1);
+  size_t gathers = 0;
+  for (const plan::ExchangeEdge& e : spec.edges) {
+    EXPECT_NE(e.device, 0) << plan::ExchangeEdgeKindName(e.kind);
+    if (e.kind != plan::ExchangeEdge::Kind::kGather) continue;
+    ++gathers;
+    EXPECT_EQ(e.target, 1);
+    EXPECT_FALSE(e.peer);  // devices 2 and 3 sit on the other island
+  }
+  EXPECT_EQ(gathers, 2u);
+  for (const plan::PlanNode& n : spec.exchange_plan.nodes) {
+    EXPECT_EQ(n.label.find("dev0"), std::string::npos) << n.label;
+  }
+  const std::string text =
+      plan::ExplainSharded(spec, group, backends::kHandwritten);
+  EXPECT_EQ(text.find("dev0"), std::string::npos) << text;
+  EXPECT_NE(text.find("dev2 -> dev1"), std::string::npos) << text;
+}
+
 // ---------------------------------------------------------------------------
 // Device-loss recovery: per-device fault scoping, shard re-placement,
 // gather re-routing, and the zero-fault timeline guarantee.

@@ -25,6 +25,7 @@
 #include "plan/query_spec.h"
 #include "plan/tpch_plans.h"
 #include "storage/device_column.h"
+#include "storage/encoded_column.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
 
@@ -380,6 +381,80 @@ TEST_F(PlanTest, HybridQ3MatchesReferenceAnswer) {
       plan::RunHybrid(plan::Optimize(bundle.plan, plan::OptimizerOptions()));
   ExpectSameResult(plan::ExtractResult(plan::TpchQuery::kQ3, bundle, res),
                    Reference(plan::TpchQuery::kQ3));
+}
+
+// ---------------------------------------------------------------------------
+// Multi-aggregate GroupBy
+// ---------------------------------------------------------------------------
+
+TEST_F(PlanTest, Q1GroupsEveryAggregateInOneNode) {
+  const plan::QueryPlanBundle bundle = plan::BuildQ1Plan(*lineitem_);
+  EXPECT_EQ(LiveCount(bundle.plan, plan::NodeKind::kGroupBy), 1u);
+  EXPECT_EQ(LiveCount(bundle.plan, plan::NodeKind::kFetchGroups), 1u);
+  EXPECT_EQ(FirstLive(bundle.plan, plan::NodeKind::kGroupBy)->aggregates.size(),
+            6u);
+
+  // Over encoded l_rfls, Handwritten groups on the dictionary codes and
+  // the key gather dies; a library keeps the gather and its keys.
+  const storage::DeviceTable encoded =
+      storage::UploadTableEncoded(*setup_, host_->lineitem);
+  const plan::QueryPlanBundle enc = plan::BuildQ1Plan(encoded);
+  for (const char* backend : {"Handwritten", "Thrust"}) {
+    SCOPED_TRACE(backend);
+    plan::OptimizerOptions opts;
+    opts.pin_backend = backend;
+    const plan::PhysicalPlan phys = plan::Optimize(enc.plan, opts);
+    const plan::PlanNode* gb = FirstLive(phys.plan, plan::NodeKind::kGroupBy);
+    const bool codes = std::string(backend) == "Handwritten";
+    EXPECT_EQ(gb->group_rows.node >= 0, codes);
+    EXPECT_EQ(LiveCount(phys.plan, plan::NodeKind::kGather), codes ? 4u : 5u);
+  }
+}
+
+/// Given the node's actual input rows and group count, the estimator's
+/// price for Q1's multi-aggregate GroupBy and its FetchGroups is the
+/// measured simulated time, to the nanosecond.
+TEST(PlanEstimateTest, Q1GroupByPricesExactlyGivenActualRows) {
+  core::RegisterBuiltinBackends();
+  tpch::Config config;
+  config.scale_factor = 0.005;
+  const storage::Table lineitem = tpch::GenerateLineitem(config);
+  gpusim::Device device;
+  gpusim::Device::DeviceGuard guard(device);
+  gpusim::Stream setup(device, gpusim::ApiProfile::Cuda());
+  const storage::DeviceTable raw = storage::UploadTable(setup, lineitem);
+  const storage::DeviceTable encoded =
+      storage::UploadTableEncoded(setup, lineitem);
+  struct Case {
+    const char* backend;
+    const storage::DeviceTable* table;
+  };
+  for (const Case& c : {Case{"Handwritten", &raw},
+                        Case{"Handwritten", &encoded}, Case{"Thrust", &raw}}) {
+    SCOPED_TRACE(std::string(c.backend) +
+                 (c.table == &raw ? " raw" : " encoded"));
+    const plan::QueryPlanBundle bundle = plan::BuildQ1Plan(*c.table);
+    plan::OptimizerOptions opts;
+    opts.pin_backend = c.backend;
+    const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, opts);
+    auto backend = core::BackendRegistry::Instance().Create(c.backend);
+    const plan::ExecutionResult res = plan::RunPinned(phys, *backend);
+
+    const int fetch = bundle.marks.at("groups");
+    const int gb = phys.plan.nodes[fetch].fetch_from.node;
+    const plan::PlanNode& node = phys.plan.nodes[gb];
+    const int grouped = node.group_rows.node >= 0 ? node.group_rows.node
+                                                  : node.group_keys.node;
+    const plan::GroupByShape shape = plan::GroupByShapeOf(
+        phys.plan, gb, res.values[grouped].out_rows, res.values[gb].out_rows);
+    ASSERT_GT(shape.rows, 0u);
+    ASSERT_GT(shape.groups, 0u);
+    const plan::CostEstimator est(device);
+    EXPECT_EQ(est.GroupByAggregates(c.backend, shape),
+              res.values[gb].measured_ns);
+    EXPECT_EQ(est.FetchGroupedAggregates(c.backend, shape),
+              res.values[fetch].measured_ns);
+  }
 }
 
 // ---------------------------------------------------------------------------

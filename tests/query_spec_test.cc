@@ -64,22 +64,23 @@ TEST(QuerySpecTest, Q3TopKBreaksRevenueTiesByOrderkeyAscending) {
 TEST(QuerySpecTest, PartialsMergeByMarkKind) {
   QueryPlanBundle bundle;
   for (const NodeKind kind :
-       {NodeKind::kReduce, NodeKind::kFetchGroups, NodeKind::kFetchGroups}) {
+       {NodeKind::kReduce, NodeKind::kGroupBy, NodeKind::kFetchGroups}) {
     PlanNode node;
     node.kind = kind;
     bundle.plan.nodes.push_back(node);
   }
+  bundle.plan.nodes[1].aggregates = {{NodeInput{}, core::AggOp::kSum, "sum"},
+                                     {NodeInput{}, core::AggOp::kCount,
+                                      "count"}};
+  bundle.plan.nodes[2].fetch_from = NodeInput{1, Part::kGroupKeys};
   bundle.marks["total"] = 0;
-  bundle.marks["sum"] = 1;
-  bundle.marks["count"] = 2;
+  bundle.marks["groups"] = 2;
   ExecutionResult res;
   res.values.resize(3);
   for (NodeValue& v : res.values) v.computed = true;
   res.values[0].scalar = 2.5;
-  res.values[1].host_keys = {7, 9};
-  res.values[1].host_vals_f = {1.0, 2.0};
-  res.values[2].host_keys = {7, 9};
-  res.values[2].host_vals_i = {3, 4};
+  res.values[2].host_groups = {core::HostAggregate{{7, 9}, {1.0, 2.0}},
+                               core::HostAggregate{{7, 9}, {3.0, 4.0}}};
 
   Partial empty;
   empty.LayOut(bundle);
